@@ -1,6 +1,7 @@
-//! Sequential oracle-guided unrolling attacks (NEOS `bbo` / `int` modes).
+//! Sequential oracle-guided unrolling attacks: NEOS `bbo` / `int`, KC2 and
+//! RANE.
 //!
-//! Both attacks search for a **constant key** consistent with the sequential
+//! Every one of them searches for a **constant key** consistent with the sequential
 //! oracle by unrolling the locked circuit over clock cycles and running the
 //! classic DIP loop per bound:
 //!
@@ -22,23 +23,52 @@
 //! All frame encoding happens through the unified
 //! [`MiterBuilder`] engine: each clock cycle of each
 //! miter copy is one [`MiterBuilder::frame`] call, with the next-state
-//! literals threaded into the following frame. All modes share one
+//! literals threaded into the following frame. Every strategy runs on one
 //! **persistent incremental solver**: frames are appended as the bound
 //! grows, the per-bound "some output differs" constraint lives in a
 //! retractable [`Solver`] scope ([`Solver::push_scope`] /
 //! [`Solver::pop_scope`]), and oracle/DIP constraints are asserted
 //! permanently — so learnt clauses survive across bounds and iterations.
-//! [`BmcMode::Bbo`] and [`BmcMode::Int`] differ only in lineage (NEOS's
-//! `bbo` historically re-solved from scratch per bound); the legacy
-//! rebuild-per-bound path is kept as [`BmcMode::BboRebuild`] purely so the
-//! `attacks` criterion bench can measure the incremental speedup. KC2 adds
-//! key-bit fixation on top — see [`crate::kc2`].
-
-use std::rc::Rc;
+//!
+//! [`run_attack`](crate::run_attack) builds one engine per strategy:
+//!
+//! | strategy | initial state | key-bit fixing |
+//! |---|---|---|
+//! | `bbo`, `int` | reset | no |
+//! | `kc2` | reset | yes |
+//! | `rane` | secret | no |
+//!
+//! `bbo` and `int` run the same code: NEOS's `bbo` historically re-solved
+//! from scratch per bound, a difference only in lineage here.
+//!
+//! # KC2 — Key-Condition Crunching (Shamsi et al., DATE 2019)
+//!
+//! KC2 accelerates the incremental unrolling attack by *simplifying the key
+//! condition* as oracle constraints accumulate: after each discriminating
+//! sequence it probes every still-free key bit with cheap bounded SAT calls
+//! and permanently fixes the implied ones. On single-key locks this
+//! collapses the key space rapidly; on Cute-Lock the probes accelerate the
+//! discovery that **no** constant key remains, so KC2 reaches the paper's
+//! `CNS` verdict faster than plain INT — visible in Tables III–IV, where
+//! KC2 times track INT closely.
+//!
+//! # RANE — Reverse Assessment of Netlist Encryption (Roshanisefat et al.)
+//!
+//! RANE drives formal verification tools over the locked design, modeling
+//! the **initial state as a secret variable** alongside the key, and
+//! searches for an unlocking key/sequence consistent with the oracle. This
+//! reproduction realizes the same model on the same engine: one shared set
+//! of free initial-state variables joins the two miter copies and every
+//! oracle-constraint chain.
+//!
+//! Against Cute-Lock the extra freedom does not help: whatever initial
+//! counter phase the solver guesses, oracle traces longer than one counter
+//! period demand a different key value per cycle, and the constant-key
+//! model collapses to `CNS` just as in Tables III–IV.
 
 use cutelock_core::clock::Instant;
 use cutelock_core::{KeyValue, LockedCircuit};
-use cutelock_netlist::unroll::{scan_view, ScanView};
+use cutelock_netlist::unroll::scan_view;
 use cutelock_sat::{CircuitEncoder, Lit, MiterBuilder, PortVals, SatResult, Solver};
 use cutelock_sim::{NetlistOracle, SequentialOracle};
 
@@ -46,73 +76,14 @@ use crate::outcome::verify_candidate_key;
 use crate::portfolio::Portfolio;
 use crate::{AttackBudget, AttackOutcome, AttackReport, RunStats};
 
-/// Which unrolling strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BmcMode {
-    /// NEOS "BBO". Historically re-solved from scratch at every bound; now
-    /// appends frames to one persistent solver like [`BmcMode::Int`].
-    Bbo,
-    /// One incremental solver, frames appended as the bound grows (NEOS
-    /// "INT").
-    Int,
-    /// The legacy BBO behavior: tear the solver down and re-encode the
-    /// whole unrolling at every bound, replaying remembered DIPs. Kept as
-    /// the baseline for the `bbo_rebuild_vs_incremental` criterion group;
-    /// never the right choice outside benchmarking.
-    BboRebuild,
-}
-
 /// How the attacker models the initial state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InitModel {
+pub(crate) enum InitModel {
     /// Known reset state (read from the netlist's flip-flop inits).
     Reset,
     /// Unknown initial state, modeled as secret variables shared by all
     /// copies (the RANE model).
     Secret,
-}
-
-/// Runs the BBO-mode attack. Delegates to [`run_attack`](crate::run_attack)
-/// with [`AttackStrategy::Bbo`](crate::AttackStrategy::Bbo).
-pub fn bbo_attack(locked: &LockedCircuit, budget: &AttackBudget) -> AttackReport {
-    let spec = crate::AttackSpec::new(crate::AttackStrategy::Bbo).with_budget(budget.clone());
-    crate::run_attack(locked, &spec)
-}
-
-/// Runs the BBO-mode attack, racing each solver query across the given
-/// [`Portfolio`].
-#[doc(hidden)] // build an `AttackSpec` instead; kept public for the goldens
-pub fn bbo_attack_with(
-    locked: &LockedCircuit,
-    budget: &AttackBudget,
-    portfolio: &Portfolio,
-) -> AttackReport {
-    Engine::new(locked, budget, InitModel::Reset, false, portfolio).run(BmcMode::Bbo)
-}
-
-/// Runs BBO with the legacy rebuild-per-bound solver strategy (the slow
-/// NEOS baseline). Only useful for benchmarking against [`bbo_attack`].
-pub fn bbo_rebuild_attack(locked: &LockedCircuit, budget: &AttackBudget) -> AttackReport {
-    let portfolio = Portfolio::single();
-    Engine::new(locked, budget, InitModel::Reset, false, &portfolio).run(BmcMode::BboRebuild)
-}
-
-/// Runs the INT-mode attack. Delegates to [`run_attack`](crate::run_attack)
-/// with [`AttackStrategy::Int`](crate::AttackStrategy::Int).
-pub fn int_attack(locked: &LockedCircuit, budget: &AttackBudget) -> AttackReport {
-    let spec = crate::AttackSpec::new(crate::AttackStrategy::Int).with_budget(budget.clone());
-    crate::run_attack(locked, &spec)
-}
-
-/// Runs the INT-mode attack, racing each solver query across the given
-/// [`Portfolio`].
-#[doc(hidden)] // build an `AttackSpec` instead; kept public for the goldens
-pub fn int_attack_with(
-    locked: &LockedCircuit,
-    budget: &AttackBudget,
-    portfolio: &Portfolio,
-) -> AttackReport {
-    Engine::new(locked, budget, InitModel::Reset, false, portfolio).run(BmcMode::Int)
 }
 
 /// One miter copy's per-frame literals.
@@ -124,10 +95,6 @@ struct Chain {
     /// State literals feeding the *next* frame.
     state: Vec<Lit>,
 }
-
-/// A remembered DIP: per-frame input vectors with the oracle's per-frame
-/// output vectors.
-type DipTrace = (Vec<Vec<bool>>, Vec<Vec<bool>>);
 
 /// Incremental-mode state: the miter (owning the solver), the two
 /// key-literal vectors, both chains, and the shared secret-initial-state
@@ -141,8 +108,7 @@ struct IncState {
     secret: Option<Vec<Lit>>,
 }
 
-/// The shared DIP-loop engine (also used by [`crate::kc2`] and
-/// [`crate::rane`]).
+/// The shared DIP-loop engine behind BBO, INT, KC2 and RANE.
 pub(crate) struct Engine<'a> {
     locked: &'a LockedCircuit,
     budget: &'a AttackBudget,
@@ -151,9 +117,6 @@ pub(crate) struct Engine<'a> {
     fix_key_bits: bool,
     /// Query-level portfolio racing (and the attack-level stop flag).
     portfolio: &'a Portfolio,
-    /// Shared so the legacy rebuild mode can restart from a fresh miter
-    /// without re-deriving (or deep-copying) the view per bound.
-    sv: Rc<ScanView>,
     start: Instant,
     iterations: usize,
 }
@@ -166,14 +129,12 @@ impl<'a> Engine<'a> {
         fix_key_bits: bool,
         portfolio: &'a Portfolio,
     ) -> Self {
-        let sv = Rc::new(scan_view(&locked.netlist).expect("locked netlist is well-formed"));
         Self {
             locked,
             budget,
             init,
             fix_key_bits,
             portfolio,
-            sv,
             start: budget.start(),
             iterations: 0,
         }
@@ -196,7 +157,8 @@ impl<'a> Engine<'a> {
     /// A fresh miter over the scan view with keys, optional secret initial
     /// state, and empty frame chains — the bound-0 state of a run.
     fn fresh_state(&self) -> IncState {
-        let mut m = MiterBuilder::new(Rc::clone(&self.sv), &[]);
+        let sv = scan_view(&self.locked.netlist).expect("locked netlist is well-formed");
+        let mut m = MiterBuilder::new(sv, &[]);
         m.enc
             .solver
             .set_conflict_budget(self.budget.conflict_budget);
@@ -302,7 +264,7 @@ impl<'a> Engine<'a> {
         timed_out
     }
 
-    pub(crate) fn run(mut self, mode: BmcMode) -> AttackReport {
+    pub(crate) fn run(mut self) -> AttackReport {
         let ki = self.locked.netlist.key_inputs().len();
         if ki == 0 {
             return self.report(AttackOutcome::Fail, 0, RunStats::default());
@@ -310,31 +272,12 @@ impl<'a> Engine<'a> {
         let mut oracle =
             NetlistOracle::new(self.locked.original.clone()).expect("oracle netlist valid");
 
-        // Remembered DIP sequences with oracle answers (replayed only in
-        // the legacy rebuild mode, where the solver is torn down per bound).
-        let mut dips: Vec<DipTrace> = Vec::new();
-
         let mut inc: Option<IncState> = None;
         let mut diff_lits: Vec<Lit> = Vec::new();
         let mut fixed: Vec<Option<bool>> = vec![None; ki];
 
         for bound in 1..=self.budget.max_bound {
-            if mode == BmcMode::BboRebuild || inc.is_none() {
-                let mut st = self.fresh_state();
-                for (xseq, ys) in &dips {
-                    self.add_dip_constraints(
-                        &mut st.m,
-                        &st.k1,
-                        &st.k2,
-                        st.secret.as_deref(),
-                        xseq,
-                        ys,
-                    );
-                }
-                diff_lits.clear();
-                inc = Some(st);
-            }
-            let st = inc.as_mut().expect("just built");
+            let st = inc.get_or_insert_with(|| self.fresh_state());
 
             // Extend the miter up to `bound` frames: fresh shared data
             // inputs per frame, state threaded from the previous frame.
@@ -409,9 +352,6 @@ impl<'a> Engine<'a> {
                             &xseq,
                             &ys,
                         );
-                        if mode == BmcMode::BboRebuild {
-                            dips.push((xseq, ys));
-                        }
                         if self.fix_key_bits
                             && self.crunch_key_bits(&mut st.m.enc.solver, &st.k1, &mut fixed)
                         {
@@ -477,12 +417,13 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_attack, AttackSpec, AttackStrategy};
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::XorLock;
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
     use cutelock_core::KeySchedule;
 
-    pub(crate) fn quick_budget() -> AttackBudget {
+    fn quick_budget() -> AttackBudget {
         AttackBudget {
             timeout: std::time::Duration::from_secs(30),
             max_bound: 6,
@@ -492,10 +433,30 @@ mod tests {
         }
     }
 
+    fn attack(strategy: AttackStrategy, lc: &LockedCircuit) -> AttackReport {
+        run_attack(lc, &AttackSpec::new(strategy).with_budget(quick_budget()))
+    }
+
+    /// A multi-key Cute-Lock-Str on s27: `keys` keys of 2 bits, one locked FF.
+    fn multi_key_cutelock(keys: usize, seed: u64) -> LockedCircuit {
+        let lc = CuteLockStr::new(CuteLockStrConfig {
+            keys,
+            key_bits: 2,
+            locked_ffs: 1,
+            seed,
+            schedule: None,
+            ..Default::default()
+        })
+        .lock(&s27())
+        .unwrap();
+        assert!(!lc.schedule.is_constant(), "degenerate schedule");
+        lc
+    }
+
     #[test]
     fn int_breaks_xor_lock() {
         let lc = XorLock::new(4, 3).lock(&s27()).unwrap();
-        let report = int_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::Int, &lc);
         match &report.outcome {
             AttackOutcome::KeyFound(k) => {
                 assert!(verify_candidate_key(&lc, k, 500, 1));
@@ -507,36 +468,12 @@ mod tests {
     #[test]
     fn bbo_breaks_xor_lock() {
         let lc = XorLock::new(3, 7).lock(&s27()).unwrap();
-        let report = bbo_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::Bbo, &lc);
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
             "got {}",
             report.outcome
         );
-    }
-
-    #[test]
-    fn bbo_rebuild_matches_incremental_outcomes() {
-        // The legacy rebuild path must stay a faithful baseline: same
-        // verdicts as incremental BBO on both a breakable and a resilient
-        // lock.
-        let xor = XorLock::new(3, 7).lock(&s27()).unwrap();
-        let inc = bbo_attack(&xor, &quick_budget());
-        let reb = bbo_rebuild_attack(&xor, &quick_budget());
-        assert_eq!(inc.outcome, reb.outcome, "inc {} vs rebuild {}", inc, reb);
-
-        let cute = CuteLockStr::new(CuteLockStrConfig {
-            keys: 2,
-            key_bits: 2,
-            locked_ffs: 1,
-            seed: 11,
-            schedule: None,
-            ..Default::default()
-        })
-        .lock(&s27())
-        .unwrap();
-        let reb = bbo_rebuild_attack(&cute, &quick_budget());
-        assert!(reb.outcome.defense_held(), "got {}", reb.outcome);
     }
 
     #[test]
@@ -607,7 +544,7 @@ mod tests {
         })
         .lock(&s27())
         .unwrap();
-        let report = int_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::Int, &lc);
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
             "got {}",
@@ -617,18 +554,7 @@ mod tests {
 
     #[test]
     fn int_dead_ends_on_multi_key_cutelock() {
-        let lc = CuteLockStr::new(CuteLockStrConfig {
-            keys: 4,
-            key_bits: 2,
-            locked_ffs: 1,
-            seed: 6,
-            schedule: None,
-            ..Default::default()
-        })
-        .lock(&s27())
-        .unwrap();
-        assert!(!lc.schedule.is_constant(), "degenerate schedule");
-        let report = int_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::Int, &multi_key_cutelock(4, 6));
         assert!(
             matches!(
                 report.outcome,
@@ -641,18 +567,54 @@ mod tests {
 
     #[test]
     fn bbo_dead_ends_on_multi_key_cutelock() {
-        let lc = CuteLockStr::new(CuteLockStrConfig {
-            keys: 2,
-            key_bits: 2,
-            locked_ffs: 1,
-            seed: 11,
-            schedule: None,
-            ..Default::default()
-        })
-        .lock(&s27())
-        .unwrap();
-        assert!(!lc.schedule.is_constant(), "degenerate schedule");
-        let report = bbo_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::Bbo, &multi_key_cutelock(2, 11));
         assert!(report.outcome.defense_held(), "got {}", report.outcome);
+    }
+
+    #[test]
+    fn kc2_breaks_xor_lock() {
+        let lc = XorLock::new(4, 13).lock(&s27()).unwrap();
+        let report = attack(AttackStrategy::Kc2, &lc);
+        assert!(
+            matches!(report.outcome, AttackOutcome::KeyFound(_)),
+            "got {}",
+            report.outcome
+        );
+    }
+
+    #[test]
+    fn kc2_dead_ends_on_multi_key_cutelock() {
+        let report = attack(AttackStrategy::Kc2, &multi_key_cutelock(4, 17));
+        assert!(
+            matches!(
+                report.outcome,
+                AttackOutcome::Cns | AttackOutcome::WrongKey(_)
+            ),
+            "got {}",
+            report.outcome
+        );
+    }
+
+    #[test]
+    fn rane_breaks_xor_lock() {
+        let lc = XorLock::new(3, 23).lock(&s27()).unwrap();
+        let report = attack(AttackStrategy::Rane, &lc);
+        match &report.outcome {
+            AttackOutcome::KeyFound(k) => assert!(verify_candidate_key(&lc, k, 300, 2)),
+            other => panic!("expected KeyFound, got {other}"),
+        }
+    }
+
+    #[test]
+    fn rane_dead_ends_on_multi_key_cutelock() {
+        let report = attack(AttackStrategy::Rane, &multi_key_cutelock(4, 29));
+        assert!(
+            matches!(
+                report.outcome,
+                AttackOutcome::Cns | AttackOutcome::WrongKey(_) | AttackOutcome::Timeout
+            ),
+            "got {}",
+            report.outcome
+        );
     }
 }

@@ -7,14 +7,11 @@
 //!
 //! * [`sat_attack`] — the combinational oracle-guided SAT attack
 //!   (Subramanyan et al.), applied through the full-scan view;
-//! * [`bmc`] — sequential unrolling attacks: `BBO` and `INT`, both running
-//!   on one persistent incremental solver (frames appended per bound, the
-//!   per-bound miter constraint in a retractable solver scope); the legacy
-//!   rebuild-per-bound BBO survives as a benchmarking baseline;
-//! * [`kc2`] — key-condition crunching: incremental BMC plus key-bit
-//!   fixation, after Shamsi et al.;
-//! * [`rane`] — RANE-style formal attack modeling the initial state as a
-//!   secret;
+//! * [`appsat`] — the AppSAT and Double-DIP variants on the same scan
+//!   model;
+//! * [`bmc`] — sequential unrolling attacks on one persistent incremental
+//!   solver: NEOS `bbo` and `int`, KC2 key-condition crunching (Shamsi et
+//!   al.), and the RANE model with a secret initial state;
 //! * [`fall`] — FALL-style functional analysis (comparator detection +
 //!   candidate extraction + SAT verification), oracle-less;
 //! * [`dana`] — DANA-style dataflow register clustering, scored with
@@ -22,14 +19,16 @@
 //! * [`portfolio`] — deterministic portfolio racing: every oracle-guided
 //!   attack accepts a [`Portfolio`] that races diversified solver clones
 //!   per DIP/BMC query across [`Pool`](cutelock_sim::pool::Pool) threads
-//!   (bit-identical for any thread count), and [`portfolio_attack`] races
-//!   whole strategies with cooperative cancellation.
+//!   (bit-identical for any thread count), and [`run_race`] races whole
+//!   strategies with cooperative cancellation.
 //!
-//! All of the above are driven through **one door**: build an
+//! Every oracle-guided attack is driven through **one door**: build an
 //! [`AttackSpec`] (strategy + budget + portfolio) and call [`run_attack`]
 //! — the request type the CLI subcommands, the table bins, and the
-//! `cutelock serve` job daemon share. The per-attack free functions
-//! survive as delegating wrappers pinned by the golden regression suite.
+//! `cutelock serve` job daemon share. FALL additionally exposes
+//! [`fall::fall_attack_with`] for callers that need its confirmed key list,
+//! and DANA, which needs no oracle, runs on a bare netlist through
+//! [`dana::dana_attack_with_budget`].
 //!
 //! The full pipeline walkthrough lives in `docs/ARCHITECTURE.md` at the
 //! repository root; the determinism rules the portfolio layer upholds are
@@ -56,14 +55,13 @@
 //! Cute-Lock (the paper's Table V contrast):
 //!
 //! ```
-//! use cutelock_attacks::fall::fall_attack;
-//! use cutelock_attacks::AttackOutcome;
+//! use cutelock_attacks::{run_attack, AttackOutcome, AttackSpec, AttackStrategy};
 //! use cutelock_circuits::s27::s27;
 //! use cutelock_core::baselines::TtLock;
 //!
 //! # fn main() -> Result<(), cutelock_core::LockError> {
 //! let locked = TtLock::new(4, 3).lock(&s27())?;
-//! let report = fall_attack(&locked);
+//! let report = run_attack(&locked, &AttackSpec::new(AttackStrategy::Fall));
 //! assert!(matches!(report.outcome, AttackOutcome::KeyFound(_)));
 //! # Ok(())
 //! # }
@@ -77,18 +75,14 @@ pub mod bmc;
 pub mod certify;
 pub mod dana;
 pub mod fall;
-pub mod kc2;
 mod outcome;
 pub mod portfolio;
-pub mod rane;
 pub mod record;
 pub mod sat_attack;
 mod scan;
 pub mod spec;
 
 pub use outcome::{AttackBudget, AttackOutcome, AttackReport, RunStats};
-pub use portfolio::{
-    portfolio_attack, portfolio_attack_with_stop, Portfolio, RaceReport, Strategy,
-};
+pub use portfolio::Portfolio;
 pub use record::{write_records, RunRecord};
-pub use spec::{run_attack, run_race, simplify_locked, AttackSpec, AttackStrategy};
+pub use spec::{run_attack, run_race, simplify_locked, AttackSpec, AttackStrategy, RaceReport};

@@ -29,20 +29,10 @@ use crate::portfolio::Portfolio;
 use crate::scan::ScanModel;
 use crate::{AttackBudget, AttackOutcome, AttackReport, RunStats};
 
-/// Runs the scan-access oracle-guided SAT attack on `locked` with a single
-/// solver per query (no portfolio racing). Delegates to
-/// [`run_attack`](crate::run_attack) with
-/// [`AttackStrategy::ScanSat`](crate::AttackStrategy::ScanSat).
-pub fn scan_sat_attack(locked: &LockedCircuit, budget: &AttackBudget) -> AttackReport {
-    let spec = crate::AttackSpec::new(crate::AttackStrategy::ScanSat).with_budget(budget.clone());
-    crate::run_attack(locked, &spec)
-}
-
 /// Runs the scan-access oracle-guided SAT attack, racing each solver query
-/// across the given [`Portfolio`] (a `k <= 1` portfolio reproduces
-/// [`scan_sat_attack`] bit for bit).
-#[doc(hidden)] // build an `AttackSpec` instead; kept public for the goldens
-pub fn scan_sat_attack_with(
+/// across the given [`Portfolio`] — the body of
+/// [`AttackStrategy::ScanSat`](crate::AttackStrategy::ScanSat).
+pub(crate) fn scan_sat(
     locked: &LockedCircuit,
     budget: &AttackBudget,
     portfolio: &Portfolio,
@@ -153,7 +143,7 @@ mod tests {
     #[test]
     fn scan_sat_breaks_xor_lock() {
         let lc = XorLock::new(6, 41).lock(&s27()).unwrap();
-        let report = scan_sat_attack(&lc, &quick_budget());
+        let report = scan_sat(&lc, &quick_budget(), &Portfolio::single());
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
             "got {}",
@@ -165,7 +155,7 @@ mod tests {
     fn scan_sat_breaks_ttlock() {
         // FALL's prey; the plain SAT attack also breaks TTLock with scan.
         let lc = TtLock::new(4, 2).lock(&s27()).unwrap();
-        let report = scan_sat_attack(&lc, &quick_budget());
+        let report = scan_sat(&lc, &quick_budget(), &Portfolio::single());
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
             "got {}",
@@ -186,7 +176,7 @@ mod tests {
         .lock(&s27())
         .unwrap();
         assert!(!lc.schedule.is_constant(), "degenerate schedule");
-        let report = scan_sat_attack(&lc, &quick_budget());
+        let report = scan_sat(&lc, &quick_budget(), &Portfolio::single());
         assert!(
             matches!(
                 report.outcome,

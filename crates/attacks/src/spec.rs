@@ -1,19 +1,13 @@
 //! The unified attack-request API: one spec type, one entry point.
 //!
-//! Before this module every attack exposed a base function plus a
-//! `*_with(…, &Portfolio)` variant — sixteen entry points a caller had to
-//! dispatch between by hand, duplicated across the CLI, the table bins,
-//! and (now) the job daemon. [`AttackSpec`] collapses that sprawl: a spec
-//! names the [`AttackStrategy`], carries the [`AttackBudget`], and carries
-//! the [`Portfolio`], and [`run_attack`] is the **one door** every caller
-//! drives attacks through. The `LockedCircuit` argument bundles the locked
-//! netlist with its oracle (the original), so a spec plus a circuit fully
-//! determines a run.
-//!
-//! The legacy per-attack free functions survive as one-line delegating
-//! wrappers (the golden regression suite pins their outcomes bit-identical
-//! through this refactor), and the `*_with` variants remain public for the
-//! goldens but are `#[doc(hidden)]` — new code should build a spec.
+//! An [`AttackSpec`] names the [`AttackStrategy`], carries the
+//! [`AttackBudget`], and carries the [`Portfolio`]; [`run_attack`] is the
+//! **one door** every caller drives an oracle-guided attack through — the
+//! CLI, the table bins, the job daemon, tests and benches alike. The
+//! `LockedCircuit` argument bundles the locked netlist with its oracle (the
+//! original), so a spec plus a circuit fully determines a run.
+//! [`run_race`] is the same door for the attack-level strategy race when
+//! the per-strategy breakdown is wanted.
 //!
 //! # Example
 //!
@@ -28,15 +22,17 @@
 //! assert!(!report.outcome.defense_held(), "XOR locks fall to the SAT attack");
 //! ```
 
-use cutelock_core::LockedCircuit;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use crate::appsat::{appsat_attack_with, double_dip_attack_with, AppSatConfig};
-use crate::bmc::{bbo_attack_with, int_attack_with};
+use cutelock_core::LockedCircuit;
+use cutelock_sim::pool::Pool;
+
+use crate::appsat::{appsat, double_dip, AppSatConfig};
+use crate::bmc::{Engine, InitModel};
 use crate::fall::fall_attack_with;
-use crate::kc2::kc2_attack_with;
-use crate::portfolio::{portfolio_attack_with_stop, Portfolio, RaceReport, Strategy};
-use crate::rane::rane_attack_with;
-use crate::sat_attack::scan_sat_attack_with;
+use crate::portfolio::Portfolio;
+use crate::sat_attack::scan_sat;
 use crate::{AttackBudget, AttackOutcome, AttackReport};
 
 /// Every attack the unified entry point can run, by CLI/table name.
@@ -97,6 +93,14 @@ impl AttackStrategy {
         }
     }
 
+    /// The strategies [`AttackStrategy::Race`] fields, in canonical
+    /// order (the order of [`RaceReport::reports`]).
+    pub const RACE_ENTRANTS: [AttackStrategy; 3] = [
+        AttackStrategy::ScanSat,
+        AttackStrategy::Kc2,
+        AttackStrategy::Int,
+    ];
+
     /// Parses a CLI/wire mode name (the inverse of
     /// [`AttackStrategy::name`]).
     pub fn parse(name: &str) -> Option<Self> {
@@ -137,9 +141,9 @@ pub struct AttackSpec {
     /// ([`cutelock_netlist::simplify()`], state-preserving configuration)
     /// over both the locked netlist and the oracle before attacking.
     ///
-    /// Defaults **off** so the legacy wrappers and the frozen golden pins
-    /// stay bit-identical; the CLI and the table bins flip it on by
-    /// default (escape hatch: `--no-simplify`). Ignored by
+    /// Defaults **off** so the frozen golden pins stay bit-identical; the
+    /// CLI and the table bins flip it on by default (escape hatch:
+    /// `--no-simplify`). Ignored by
     /// [`AttackStrategy::Fall`] (its comparator analysis reads the locked
     /// structure as-built) and [`AttackStrategy::Race`] (already exempt
     /// from determinism pins; its entrants rebuild their own views).
@@ -189,17 +193,16 @@ impl AttackSpec {
 /// bundles its own oracle netlist) — the single entry point behind the
 /// CLI `attack` subcommand, the table bins, and the job daemon.
 ///
-/// Semantics per strategy are identical to the legacy free functions
-/// (each of which now delegates here bit-for-bit):
-///
-/// * oracle-guided strategies return the familiar [`AttackReport`];
-/// * [`AttackStrategy::Fall`] reports its candidate count in
-///   [`AttackReport::iterations`] (use
-///   [`fall_attack_with`] when the
-///   confirmed key list itself is needed);
-/// * [`AttackStrategy::Race`] returns the winning (or best-ranked)
-///   strategy's report — see [`run_race`] for the full per-strategy
-///   breakdown.
+/// | strategy | runs |
+/// |---|---|
+/// | `sat` | scan-access DIP loop ([`crate::sat_attack`]) |
+/// | `bbo`, `int` | unrolling engine, reset state ([`crate::bmc`]) |
+/// | `kc2` | unrolling engine, reset state, key-bit fixing |
+/// | `rane` | unrolling engine, secret initial state |
+/// | `appsat` | scan DIP loop with error-rate settling ([`crate::appsat`]) |
+/// | `double-dip` | scan DIP loop over three key copies |
+/// | `fall` | [`fall_attack_with`]; [`AttackReport::iterations`] holds the candidate count |
+/// | `race` | [`run_race`], reduced to the winning (or best-ranked) report |
 pub fn run_attack(locked: &LockedCircuit, spec: &AttackSpec) -> AttackReport {
     let prepared;
     let locked =
@@ -210,14 +213,14 @@ pub fn run_attack(locked: &LockedCircuit, spec: &AttackSpec) -> AttackReport {
             locked
         };
     let (budget, p) = (&spec.budget, &spec.portfolio);
+    let bmc = |init, fix_key_bits| Engine::new(locked, budget, init, fix_key_bits, p).run();
     match spec.strategy {
-        AttackStrategy::ScanSat => scan_sat_attack_with(locked, budget, p),
-        AttackStrategy::Bbo => bbo_attack_with(locked, budget, p),
-        AttackStrategy::Int => int_attack_with(locked, budget, p),
-        AttackStrategy::Kc2 => kc2_attack_with(locked, budget, p),
-        AttackStrategy::Rane => rane_attack_with(locked, budget, p),
-        AttackStrategy::AppSat => appsat_attack_with(locked, budget, &AppSatConfig::default(), p),
-        AttackStrategy::DoubleDip => double_dip_attack_with(locked, budget, p),
+        AttackStrategy::ScanSat => scan_sat(locked, budget, p),
+        AttackStrategy::Bbo | AttackStrategy::Int => bmc(InitModel::Reset, false),
+        AttackStrategy::Kc2 => bmc(InitModel::Reset, true),
+        AttackStrategy::Rane => bmc(InitModel::Secret, false),
+        AttackStrategy::AppSat => appsat(locked, budget, &AppSatConfig::default(), p),
+        AttackStrategy::DoubleDip => double_dip(locked, budget, p),
         AttackStrategy::Fall => {
             let r = fall_attack_with(locked, budget, p);
             AttackReport {
@@ -232,26 +235,97 @@ pub fn run_attack(locked: &LockedCircuit, spec: &AttackSpec) -> AttackReport {
     }
 }
 
-/// Runs the attack-level strategy race a spec describes and returns the
-/// full [`RaceReport`] (per-strategy verdicts included). [`run_attack`]
+/// Outcome of an attack-level race: the winning strategy (first to a
+/// decisive verdict), its report, and every strategy's report for the
+/// record.
+#[derive(Debug, Clone)]
+pub struct RaceReport {
+    /// The strategy that reached a decisive verdict — a verified key or a
+    /// CNS proof — first, if any did within the budget.
+    pub winner: Option<AttackStrategy>,
+    /// The winner's report, or — when no strategy was decisive — the
+    /// best-ranked report, ties broken by canonical strategy order.
+    pub report: AttackReport,
+    /// All reports in [`AttackStrategy::RACE_ENTRANTS`] order. Cancelled
+    /// losers read [`AttackOutcome::Timeout`].
+    pub reports: Vec<(AttackStrategy, AttackReport)>,
+}
+
+/// Races the [`AttackStrategy::RACE_ENTRANTS`] against one oracle under the
+/// spec's shared budget and returns the full [`RaceReport`]. [`run_attack`]
 /// with [`AttackStrategy::Race`] is this function reduced to the winning
 /// report.
 ///
+/// The first strategy to reach a *decisive* verdict
+/// ([`AttackSpec::is_decisive`]) raises a shared stop flag, and every other
+/// strategy's solver aborts at its next propagate/decide round. Wrong-key
+/// and `Fail` finishes do **not** cancel the race: a strategy whose model
+/// is inadequate for the lock must not silence one that could break it.
+/// *Which* strategy wins can vary with timing — use a query-level
+/// [`Portfolio`] when reproducible output matters more than wall-clock —
+/// though any returned key is oracle-verified regardless.
+///
 /// The spec's portfolio is reinterpreted for the race:
 /// [`Portfolio::threads`] is the number of strategy workers and
-/// [`Portfolio::k`] each strategy's inner query-race width — matching the
-/// CLI's `--threads` / `--portfolio` flags in `--mode race`. A
+/// [`Portfolio::k`] each strategy's inner query-race width (entrants race
+/// serially inside the strategy's worker) — matching the CLI's
+/// `--threads` / `--portfolio` flags in `--mode race`. A
 /// [`Portfolio::stop`] flag, when set, becomes the race's shared
-/// cancellation slot (the job daemon's `CANCEL` raises it).
+/// cancellation slot (the job daemon's `CANCEL` raises it); the cancelled
+/// strategies report [`AttackOutcome::Timeout`] and the race returns with
+/// no winner. Entrants never run the simplifier.
 pub fn run_race(locked: &LockedCircuit, spec: &AttackSpec) -> RaceReport {
-    portfolio_attack_with_stop(
-        locked,
-        &spec.budget,
-        &Strategy::ALL,
-        spec.portfolio.threads,
-        spec.portfolio.k,
-        spec.portfolio.stop.clone(),
-    )
+    let entrants = AttackStrategy::RACE_ENTRANTS;
+    let stop = spec
+        .portfolio
+        .stop
+        .clone()
+        .unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
+    let claimed = AtomicUsize::new(usize::MAX);
+    let pool = Pool::new(spec.portfolio.threads.max(1).min(entrants.len()));
+    let reports: Vec<AttackReport> = pool.map(entrants.len(), |i| {
+        let entrant = AttackSpec::new(entrants[i])
+            .with_budget(spec.budget.clone())
+            .with_portfolio(Portfolio::new(spec.portfolio.k, 1).with_stop(Arc::clone(&stop)));
+        let r = run_attack(locked, &entrant);
+        if AttackSpec::is_decisive(&r.outcome)
+            && claimed
+                .compare_exchange(usize::MAX, i, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        {
+            stop.store(true, Ordering::Relaxed);
+        }
+        r
+    });
+    let winner_idx = claimed.load(Ordering::SeqCst);
+    let (winner, report) = if winner_idx != usize::MAX {
+        (Some(entrants[winner_idx]), reports[winner_idx].clone())
+    } else {
+        // No decisive verdict (everything timed out, failed, or returned
+        // refuted keys): fall back to the best-ranked report, ties broken
+        // by strategy order.
+        let best = (0..reports.len())
+            .min_by_key(|&i| outcome_rank(&reports[i].outcome))
+            .expect("entrants non-empty");
+        (None, reports[best].clone())
+    };
+    RaceReport {
+        winner,
+        report,
+        reports: entrants.into_iter().zip(reports).collect(),
+    }
+}
+
+/// Severity order for the race's no-decisive-verdict fallback: a broken
+/// lock outranks a held defense outranks an inconclusive run.
+fn outcome_rank(outcome: &AttackOutcome) -> u8 {
+    match outcome {
+        AttackOutcome::KeyFound(_) => 0,
+        AttackOutcome::WrongKey(_) => 1,
+        AttackOutcome::Cns => 2,
+        AttackOutcome::Fail => 3,
+        AttackOutcome::Timeout => 4,
+    }
 }
 
 /// Returns a copy of `locked` with both netlists run through the

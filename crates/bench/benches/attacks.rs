@@ -5,13 +5,10 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cutelock_attacks::bmc::{bbo_attack, bbo_rebuild_attack, int_attack, int_attack_with};
-use cutelock_attacks::dana::dana_attack;
-use cutelock_attacks::fall::fall_attack;
-use cutelock_attacks::kc2::kc2_attack;
+use cutelock_attacks::dana::dana_attack_with_budget;
+use cutelock_attacks::fall::fall_attack_with;
 use cutelock_attacks::portfolio::Portfolio;
-use cutelock_attacks::sat_attack::{scan_sat_attack, scan_sat_attack_with};
-use cutelock_attacks::{AttackBudget, AttackReport};
+use cutelock_attacks::{run_attack, AttackBudget, AttackReport, AttackSpec, AttackStrategy};
 use cutelock_circuits::{itc99, s27::s27};
 use cutelock_core::baselines::XorLock;
 use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
@@ -26,6 +23,20 @@ fn budget() -> AttackBudget {
         conflict_budget: Some(300_000),
         ..AttackBudget::default()
     }
+}
+
+/// Runs `strategy` on `lc` under the bench budget, racing each query
+/// across `p`.
+fn attack_with(strategy: AttackStrategy, lc: &LockedCircuit, p: &Portfolio) -> AttackReport {
+    let spec = AttackSpec::new(strategy)
+        .with_budget(budget())
+        .with_portfolio(p.clone());
+    run_attack(lc, &spec)
+}
+
+/// Runs `strategy` on `lc` under the bench budget, one solver per query.
+fn attack(strategy: AttackStrategy, lc: &LockedCircuit) -> AttackReport {
+    attack_with(strategy, lc, &Portfolio::single())
 }
 
 fn lock_s27(keys: usize) -> LockedCircuit {
@@ -45,43 +56,14 @@ fn bench_oracle_guided(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle_guided_s27");
     let multi = lock_s27(4);
     group.bench_function("int_dead_end_multikey", |b| {
-        b.iter(|| int_attack(&multi, &budget()))
+        b.iter(|| attack(AttackStrategy::Int, &multi))
     });
     group.bench_function("kc2_dead_end_multikey", |b| {
-        b.iter(|| kc2_attack(&multi, &budget()))
+        b.iter(|| attack(AttackStrategy::Kc2, &multi))
     });
     let xor = XorLock::new(4, 3).lock(&s27()).expect("locks");
     group.bench_function("int_breaks_xorlock", |b| {
-        b.iter(|| int_attack(&xor, &budget()))
-    });
-    group.finish();
-}
-
-/// The PR-acceptance comparison: legacy rebuild-per-bound BBO (first entry
-/// = the group baseline) against the incremental frame-append BBO, on locks
-/// whose attacks deepen through several bounds. The shim's group report
-/// prints the measured speedup.
-fn bench_bbo_incremental(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bbo_rebuild_vs_incremental");
-    // XOR-locked s27: the attack unrolls bound after bound until the key
-    // falls out, so per-bound re-encoding dominates the rebuild path.
-    let xor = XorLock::new(4, 3).lock(&s27()).expect("locks");
-    group.bench_function("rebuild_xorlock", |b| {
-        b.iter(|| bbo_rebuild_attack(&xor, &budget()))
-    });
-    group.bench_function("incremental_xorlock", |b| {
-        b.iter(|| bbo_attack(&xor, &budget()))
-    });
-    group.finish();
-
-    let mut group = c.benchmark_group("bbo_rebuild_vs_incremental_multikey");
-    // Multi-key Cute-Lock: the dead-end (CNS) discovery path.
-    let multi = lock_s27(4);
-    group.bench_function("rebuild_deadend", |b| {
-        b.iter(|| bbo_rebuild_attack(&multi, &budget()))
-    });
-    group.bench_function("incremental_deadend", |b| {
-        b.iter(|| bbo_attack(&multi, &budget()))
+        b.iter(|| attack(AttackStrategy::Int, &xor))
     });
     group.finish();
 }
@@ -108,36 +90,48 @@ fn bench_portfolio(c: &mut Criterion) {
     let xor = XorLock::new(4, 3).lock(&s27()).expect("locks");
     let multi = lock_s27(4);
     for lc in [&xor, &multi] {
-        let reference = golden(&int_attack_with(lc, &budget(), &Portfolio::new(4, 1)));
+        let reference = golden(&attack_with(AttackStrategy::Int, lc, &Portfolio::new(4, 1)));
         for threads in [2, 4] {
             assert_eq!(
-                golden(&int_attack_with(lc, &budget(), &Portfolio::new(4, threads))),
+                golden(&attack_with(
+                    AttackStrategy::Int,
+                    lc,
+                    &Portfolio::new(4, threads)
+                )),
                 reference,
                 "portfolio race diverged at {threads} threads"
             );
         }
         assert_eq!(
-            golden(&scan_sat_attack_with(lc, &budget(), &Portfolio::new(4, 4))),
-            golden(&scan_sat_attack_with(lc, &budget(), &Portfolio::new(4, 1))),
+            golden(&attack_with(
+                AttackStrategy::ScanSat,
+                lc,
+                &Portfolio::new(4, 4)
+            )),
+            golden(&attack_with(
+                AttackStrategy::ScanSat,
+                lc,
+                &Portfolio::new(4, 1)
+            )),
         );
     }
 
     let race = Portfolio::new(4, 4);
     let mut group = c.benchmark_group("portfolio_vs_single");
     group.bench_function("single_int_xorlock", |b| {
-        b.iter(|| int_attack(&xor, &budget()))
+        b.iter(|| attack(AttackStrategy::Int, &xor))
     });
     group.bench_function("portfolio4_int_xorlock", |b| {
-        b.iter(|| int_attack_with(&xor, &budget(), &race))
+        b.iter(|| attack_with(AttackStrategy::Int, &xor, &race))
     });
     group.finish();
 
     let mut group = c.benchmark_group("portfolio_vs_single_multikey");
     group.bench_function("single_sat_deadend", |b| {
-        b.iter(|| scan_sat_attack(&multi, &budget()))
+        b.iter(|| attack(AttackStrategy::ScanSat, &multi))
     });
     group.bench_function("portfolio4_sat_deadend", |b| {
-        b.iter(|| scan_sat_attack_with(&multi, &budget(), &race))
+        b.iter(|| attack_with(AttackStrategy::ScanSat, &multi, &race))
     });
     group.finish();
 }
@@ -241,7 +235,7 @@ fn bench_dana(c: &mut Criterion) {
     for name in ["b03", "b12", "b14"] {
         let circuit = itc99(name).expect("exists");
         group.bench_with_input(BenchmarkId::from_parameter(name), &circuit, |b, circ| {
-            b.iter(|| dana_attack(&circ.netlist))
+            b.iter(|| dana_attack_with_budget(&circ.netlist, &AttackBudget::default()))
         });
     }
     group.finish();
@@ -262,7 +256,7 @@ fn bench_fall(c: &mut Criterion) {
         .lock(&circuit.netlist)
         .expect("locks");
         group.bench_with_input(BenchmarkId::from_parameter(name), &locked, |b, lc| {
-            b.iter(|| fall_attack(lc))
+            b.iter(|| fall_attack_with(lc, &AttackBudget::default(), &Portfolio::single()))
         });
     }
     group.finish();
@@ -271,7 +265,7 @@ fn bench_fall(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(5));
-    targets = bench_oracle_guided, bench_bbo_incremental, bench_portfolio, bench_clause_sharing,
+    targets = bench_oracle_guided, bench_portfolio, bench_clause_sharing,
         bench_dana, bench_fall
 }
 criterion_main!(benches);

@@ -6,9 +6,9 @@ use std::time::Duration;
 
 use cutelock_attacks::certify::prove_locked_equivalence;
 use cutelock_attacks::dana::{dana_attack_with_budget, score_against_ground_truth};
-use cutelock_attacks::portfolio::{Portfolio, Strategy};
 use cutelock_attacks::{
-    run_attack, run_race, write_records, AttackBudget, AttackSpec, AttackStrategy, RunRecord,
+    run_attack, run_race, write_records, AttackBudget, AttackSpec, AttackStrategy, Portfolio,
+    RunRecord,
 };
 use cutelock_circuits::{iscas89, iscas89_names, itc99, itc99_names};
 use cutelock_core::baselines::{DkLock, SledLock, TtLock, XorLock};
@@ -344,7 +344,7 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
     // explicit --threads wins (e.g. `--threads 1` serializes them) and
     // --portfolio K threads through as each strategy's query-race width.
     let threads = if strategy == AttackStrategy::Race && args.opt("threads").is_none() {
-        Strategy::ALL.len()
+        AttackStrategy::RACE_ENTRANTS.len()
     } else {
         threads
     };

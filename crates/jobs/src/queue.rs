@@ -29,7 +29,9 @@
 //!   [`crate::server`] is a thin framing shim over these same methods,
 //!   which is what makes the scheduler unit-testable in-process.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -66,7 +68,7 @@ pub enum JobState {
     Done,
     /// Cancelled — either before it ran or mid-run via its stop flag.
     Cancelled,
-    /// The closure returned an error.
+    /// The closure returned an error or panicked.
     Failed,
 }
 
@@ -386,8 +388,13 @@ impl JobQueue {
 
     fn worker_loop(&self, worker: usize, workers: usize) {
         while let Some((id, work, stop)) = self.next_job(worker, workers) {
-            // Run outside the lock — this is the long part.
-            let result = work(&stop);
+            // Run outside the lock — this is the long part. A panicking job
+            // fails like an erroring one (never cached) and the worker
+            // lives on; the state lock is not held here, so it cannot be
+            // poisoned.
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| work(&stop))).unwrap_or_else(
+                |payload| Err(format!("job panicked: {}", panic_message(&*payload))),
+            );
             let mut st = self.shared.state.lock().unwrap();
             let cancelled = st
                 .jobs
@@ -417,6 +424,18 @@ impl JobQueue {
             }
             self.shared.job_done.notify_all();
         }
+    }
+}
+
+/// The message a panic carried, when it is a string (as `panic!` with a
+/// literal or a format string produces).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string payload"
     }
 }
 
@@ -619,6 +638,51 @@ mod tests {
         });
         let st = q.wait(other).unwrap();
         assert!(!st.cached, "distinct keys must not hit");
+        q.shutdown();
+        pool.join();
+    }
+
+    /// Polls `id` until it reaches a terminal state, failing the test after
+    /// ~10 s instead of hanging when a dead worker leaves it stuck.
+    fn settle(q: &JobQueue, id: u64) -> JobStatus {
+        for _ in 0..10_000 {
+            let st = q.status(id).unwrap();
+            if st.state.is_terminal() {
+                return st;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("job {id} stuck in {}", q.status(id).unwrap().state.name());
+    }
+
+    #[test]
+    fn panicking_job_fails_and_the_worker_survives() {
+        // One worker: if the panic killed it, the panicking job would stay
+        // running and the next job queued forever.
+        let q = JobQueue::new();
+        let pool = q.spawn_workers(1);
+        let bad = q.submit(SubmitRequest {
+            label: "panics".into(),
+            lane: Lane::Batch,
+            cache_key: Some(7),
+            work: Box::new(|_| panic!("solver invariant broken")),
+        });
+        let st = settle(&q, bad);
+        assert_eq!(st.state, JobState::Failed);
+        assert_eq!(
+            st.result,
+            Some(Err("job panicked: solver invariant broken".into()))
+        );
+        let next = q.submit(SubmitRequest {
+            label: "after".into(),
+            lane: Lane::Batch,
+            cache_key: Some(7),
+            work: Box::new(|_| Ok("fine".into())),
+        });
+        let st = settle(&q, next);
+        assert_eq!(st.state, JobState::Done);
+        assert!(!st.cached, "a panicked job must not populate the cache");
+        assert_eq!(st.result, Some(Ok("fine".into())));
         q.shutdown();
         pool.join();
     }

@@ -1,62 +1,22 @@
-//! Netlist cleanup transforms: constant propagation and dead-logic sweep.
+//! Tests of the state-preserving cleanup the synthesis overhead model runs
+//! before counting cells: [`crate::simplify()`] with
+//! [`SimplifyConfig::preserving_state`].
 //!
 //! Locking transforms leave degenerate structures behind (constant-fed
 //! gates from `CONST0`/`CONST1` schedule bits, cones made unreachable by
-//! re-routing). Overhead comparisons are only fair on swept netlists —
-//! synthesis tools like Genus do this implicitly, so the overhead model
-//! applies [`cleanup`] before counting cells.
-//!
-//! Since the [`mod@crate::simplify`] engine landed, `cleanup` is a thin
-//! wrapper over it: one simplification code path serves both the
-//! synthesis overhead model and the encoding front end. `cleanup` runs
-//! the state-preserving configuration
-//! ([`crate::simplify::SimplifyConfig::preserving_state`]): flip-flops
-//! are state, and sweeping them would change observable timing behavior —
-//! a synthesis decision this conservative cleanup does not take.
-
-use crate::simplify::{simplify, SimplifyConfig};
-use crate::{Netlist, NetlistError};
-
-/// Statistics of a [`cleanup`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CleanupStats {
-    /// Gates removed because their output was a derivable constant, a
-    /// pass-through that got forwarded, or a structural duplicate that
-    /// got merged.
-    pub folded: usize,
-    /// Gates removed because nothing observable consumed them.
-    pub swept: usize,
-}
-
-/// Rebuilds `nl` with constants propagated, buffers forwarded, duplicate
-/// gates merged, and unobservable gates removed.
-///
-/// The result computes the same function on the same interface: primary
-/// inputs, outputs and flip-flops are all preserved. This delegates to
-/// [`crate::simplify::simplify`] with the state-preserving configuration;
-/// callers that can afford to drop unobservable flip-flops should call
-/// the engine directly with [`SimplifyConfig::default`].
-///
-/// # Errors
-///
-/// Propagates reconstruction failures (a bug if they happen on a valid
-/// netlist).
-pub fn cleanup(nl: &Netlist) -> Result<(Netlist, CleanupStats), NetlistError> {
-    let (out, stats) = simplify(nl, &SimplifyConfig::preserving_state())?;
-    Ok((
-        out,
-        CleanupStats {
-            folded: stats.folded + stats.merged,
-            swept: stats.swept_gates,
-        },
-    ))
-}
+//! re-routing). Overhead comparisons are only fair on swept netlists, so
+//! these cases pin that the cleanup folds, forwards, merges and sweeps
+//! while keeping flip-flops, their init values and the interface.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::bench;
+    use crate::simplify::{simplify, SimplifyConfig, SimplifyStats};
     use crate::{GateKind, Netlist};
+
+    fn cleanup(nl: &Netlist) -> (Netlist, SimplifyStats) {
+        simplify(nl, &SimplifyConfig::preserving_state()).unwrap()
+    }
 
     #[test]
     fn constants_fold_through() {
@@ -66,10 +26,10 @@ mod tests {
              t2 = XOR(t1, z)\ny = NOT(t2)\n",
         )
         .unwrap();
-        let (clean, stats) = cleanup(&nl).unwrap();
+        let (clean, stats) = cleanup(&nl);
         // y = NOT(XOR(a,1)) = NOT(NOT(a)) = a; structure shrinks.
         assert!(clean.gate_count() < nl.gate_count());
-        assert!(stats.folded > 0);
+        assert!(stats.folded + stats.merged > 0);
         // Function preserved (exhaustive).
         for a in [false, true] {
             let eval = |nl: &Netlist| {
@@ -95,9 +55,9 @@ mod tests {
              dead2 = NOT(dead1)\ny = XOR(a, b)\n",
         )
         .unwrap();
-        let (clean, stats) = cleanup(&nl).unwrap();
+        let (clean, stats) = cleanup(&nl);
         assert_eq!(clean.gate_count(), 1);
-        assert_eq!(stats.swept, 2);
+        assert_eq!(stats.swept_gates, 2);
     }
 
     #[test]
@@ -107,7 +67,7 @@ mod tests {
             "INPUT(a)\nOUTPUT(y)\nb1 = BUF(a)\nb2 = BUF(b1)\ny = NOT(b2)\n",
         )
         .unwrap();
-        let (clean, _) = cleanup(&nl).unwrap();
+        let (clean, _) = cleanup(&nl);
         assert_eq!(clean.gate_count(), 1);
         let g = &clean.gates()[0];
         assert_eq!(g.kind(), GateKind::Not);
@@ -122,14 +82,11 @@ mod tests {
              d = OR(a, z)\ny = BUF(q)\n",
         )
         .unwrap();
-        let (clean, _) = cleanup(&nl).unwrap();
+        let (clean, _) = cleanup(&nl);
         assert_eq!(clean.dff_count(), 1);
         assert_eq!(clean.dffs()[0].init(), Some(true));
         assert_eq!(clean.input_count(), 1);
         assert_eq!(clean.output_count(), 1);
-        // d = OR(a, 0) folds to a (no gate needed on that path)...
-        // but the OR itself folds only if we recognize single-operand OR;
-        // at minimum the constant is gone or unused.
         clean.validate().unwrap();
     }
 
@@ -140,7 +97,7 @@ mod tests {
             "INPUT(s)\nINPUT(a)\nOUTPUT(y)\nm = MUX(s, a, a)\ny = NOT(m)\n",
         )
         .unwrap();
-        let (clean, _) = cleanup(&nl).unwrap();
+        let (clean, _) = cleanup(&nl);
         assert_eq!(clean.gate_count(), 1);
     }
 
@@ -152,9 +109,9 @@ mod tests {
              y = XOR(g1, g2)\n",
         )
         .unwrap();
-        let (clean, stats) = cleanup(&nl).unwrap();
+        let (clean, stats) = cleanup(&nl);
         // g2 merges into g1, XOR(g1, g1) folds to constant false.
-        assert!(stats.folded > 0, "{stats:?}");
+        assert!(stats.folded + stats.merged > 0, "{stats}");
         assert!(clean.gate_count() <= 1, "got {}", clean.gate_count());
     }
 
@@ -169,7 +126,7 @@ mod tests {
              y = XOR(q, a)\n",
         )
         .unwrap();
-        let (clean, _) = cleanup(&nl).unwrap();
+        let (clean, _) = cleanup(&nl);
         // Compare one scan step exhaustively over (a, b, q).
         let sva = scan_view(&nl).unwrap();
         let svb = scan_view(&clean).unwrap();

@@ -5,6 +5,7 @@
 
 use std::time::Duration;
 
+use cute_lock::attacks::dana::DanaReport;
 use cute_lock::prelude::*;
 
 fn budget() -> AttackBudget {
@@ -15,6 +16,14 @@ fn budget() -> AttackBudget {
         conflict_budget: Some(500_000),
         ..AttackBudget::default()
     }
+}
+
+fn attack(strategy: AttackStrategy, locked: &LockedCircuit) -> AttackReport {
+    run_attack(locked, &AttackSpec::new(strategy).with_budget(budget()))
+}
+
+fn dana(nl: &Netlist) -> DanaReport {
+    dana_attack_with_budget(nl, &AttackBudget::default())
 }
 
 /// Table I: Cute-Lock-Beh preserves behavior under the correct schedule and
@@ -83,13 +92,14 @@ fn claim_tables34_attacks_dead_end() {
     .lock(&iscas89("s349").expect("exists").netlist)
     .expect("locks");
     for locked in [&beh, &strv] {
-        for report in [
-            bbo_attack(locked, &budget()),
-            int_attack(locked, &budget()),
-            kc2_attack(locked, &budget()),
-            rane_attack(locked, &budget()),
-            scan_sat_attack(locked, &budget()),
+        for strategy in [
+            AttackStrategy::Bbo,
+            AttackStrategy::Int,
+            AttackStrategy::Kc2,
+            AttackStrategy::Rane,
+            AttackStrategy::ScanSat,
         ] {
+            let report = attack(strategy, locked);
             assert!(
                 report.outcome.defense_held(),
                 "{}: {}",
@@ -113,7 +123,7 @@ fn claim_single_key_reduction_breaks() {
     })
     .lock(&cute_lock::circuits::s27::s27())
     .expect("locks");
-    let report = int_attack(&locked, &budget());
+    let report = attack(AttackStrategy::Int, &locked);
     assert!(
         matches!(report.outcome, AttackOutcome::KeyFound(_)),
         "got {}",
@@ -136,12 +146,12 @@ fn claim_table5_fall() {
     })
     .lock(&circuit.netlist)
     .expect("locks");
-    let fall = fall_attack(&cute);
+    let fall = fall_attack_with(&cute, &AttackBudget::default(), &Portfolio::single());
     assert_eq!(fall.candidates, 0);
     assert_eq!(fall.keys_found, 0);
 
     let tt = TtLock::new(5, 5).lock(&circuit.netlist).expect("locks");
-    let fall_tt = fall_attack(&tt);
+    let fall_tt = fall_attack_with(&tt, &AttackBudget::default(), &Portfolio::single());
     assert!(fall_tt.keys_found >= 1, "FALL must break TTLock");
 }
 
@@ -154,7 +164,7 @@ fn claim_table5_dana_degradation() {
     for name in ["b04", "b08", "b12"] {
         let circuit = itc99(name).expect("exists");
         let truth = circuit.word_labels();
-        let clean = score_against_ground_truth(&dana_attack(&circuit.netlist), &truth);
+        let clean = score_against_ground_truth(&dana(&circuit.netlist), &truth);
         let locked = CuteLockStr::new(CuteLockStrConfig {
             keys: 4,
             key_bits: 5,
@@ -165,7 +175,7 @@ fn claim_table5_dana_degradation() {
         })
         .lock(&circuit.netlist)
         .expect("locks");
-        let after = score_against_ground_truth(&dana_attack(&locked.netlist), &truth);
+        let after = score_against_ground_truth(&dana(&locked.netlist), &truth);
         total += 1;
         if after < clean - 1e-9 {
             degraded += 1;
@@ -218,6 +228,6 @@ fn claim_one_ff_suffices() {
     })
     .lock(&itc99("b03").expect("exists").netlist)
     .expect("locks");
-    let report = int_attack(&locked, &budget());
+    let report = attack(AttackStrategy::Int, &locked);
     assert!(report.outcome.defense_held(), "got {}", report.outcome);
 }
