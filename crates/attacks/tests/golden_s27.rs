@@ -364,3 +364,78 @@ fn golden_fall() {
     );
     check("fall/cute", "candidates=0 keys=0 outcome=FAIL", actual);
 }
+
+/// Search-trajectory pins: the verdict goldens above would survive a
+/// refactor that reorders solver calls, so this test also pins the exact
+/// conflict and propagation counts and the final bound of every
+/// oracle-guided strategy — plus one portfolio race with clause sharing
+/// on. A changed count means the attack issued different solver calls.
+#[test]
+fn golden_search_counters() {
+    let counters = |r: &AttackReport| {
+        format!(
+            "conflicts={} propagations={} bound={}",
+            r.stats.conflicts, r.stats.propagations, r.bound
+        )
+    };
+    let expected = [
+        (
+            AttackStrategy::ScanSat,
+            "conflicts=19 propagations=547 bound=1",
+            "conflicts=36 propagations=1562 bound=1",
+        ),
+        (
+            AttackStrategy::Bbo,
+            "conflicts=21 propagations=1200 bound=2",
+            "conflicts=117 propagations=7981 bound=6",
+        ),
+        (
+            AttackStrategy::Int,
+            "conflicts=21 propagations=1200 bound=2",
+            "conflicts=117 propagations=7981 bound=6",
+        ),
+        (
+            AttackStrategy::Kc2,
+            "conflicts=9 propagations=1056 bound=1",
+            "conflicts=117 propagations=8185 bound=6",
+        ),
+        (
+            AttackStrategy::Rane,
+            "conflicts=45 propagations=2684 bound=2",
+            "conflicts=295 propagations=31842 bound=6",
+        ),
+        (
+            AttackStrategy::AppSat,
+            "conflicts=19 propagations=547 bound=1",
+            "conflicts=36 propagations=1562 bound=1",
+        ),
+        (
+            AttackStrategy::DoubleDip,
+            "conflicts=39 propagations=1127 bound=1",
+            "conflicts=73 propagations=3427 bound=1",
+        ),
+    ];
+    for (strategy, xor, cute) in expected {
+        check(
+            &format!("counters/{strategy}/xor"),
+            xor,
+            counters(&attack(strategy, &xor_lock())),
+        );
+        check(
+            &format!("counters/{strategy}/cute"),
+            cute,
+            counters(&attack(strategy, &cute_lock())),
+        );
+    }
+    let shared = Portfolio::new(4, 2).with_share(true);
+    check(
+        "counters/sat/cute/portfolio-share",
+        "conflicts=36 propagations=1562 bound=1",
+        counters(&attack_with(
+            AttackStrategy::ScanSat,
+            &cute_lock(),
+            &budget(),
+            &shared,
+        )),
+    );
+}
