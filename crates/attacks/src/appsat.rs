@@ -12,7 +12,9 @@
 //!
 //! Both run on the shared scan miter model (the same
 //! [`MiterBuilder`](cutelock_sat::MiterBuilder)-built model as
-//! [`crate::sat_attack`]); Double-DIP just adds a third key copy. Against
+//! [`crate::sat_attack`]) and through the crate's one DIP driver
+//! (`dip.rs`): AppSAT adds a settle after-step to the hunt, Double-DIP
+//! a third key copy and a second hunt. Against
 //! Cute-Lock they fare no better than the exact attack: the approximate
 //! key AppSAT returns is still a *constant* key, so its error rate can
 //! never reach zero, and the run ends in a (labeled) approximate wrong
@@ -20,14 +22,13 @@
 //! fewer iterations.
 
 use cutelock_core::{KeyValue, LockedCircuit};
-use cutelock_sat::SatResult;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::outcome::verify_candidate_key;
+use crate::dip::{no_settle, verdict, Verdict};
 use crate::portfolio::Portfolio;
-use crate::scan::ScanModel;
-use crate::{AttackBudget, AttackOutcome, AttackReport, RunStats};
+use crate::scan::{scan_attack, ScanModel};
+use crate::{AttackBudget, AttackReport};
 
 /// Settings specific to AppSAT.
 #[derive(Debug, Clone, Copy)]
@@ -62,116 +63,36 @@ fn estimate_error(locked: &LockedCircuit, key: &KeyValue, queries: usize, rng: &
 /// Runs AppSAT, racing each solver query across the given [`Portfolio`]
 /// — the body of [`AttackStrategy::AppSat`](crate::AttackStrategy::AppSat).
 ///
-/// Returns [`AttackOutcome::KeyFound`] only when the settled key verifies
-/// exactly; an approximate key that still errs is reported as
-/// [`AttackOutcome::WrongKey`] (the paper's `x..x`).
+/// Returns [`AttackOutcome::KeyFound`](crate::AttackOutcome::KeyFound)
+/// only when the settled key verifies exactly; an approximate key that
+/// still errs is reported as
+/// [`AttackOutcome::WrongKey`](crate::AttackOutcome::WrongKey) (the
+/// paper's `x..x`).
 pub(crate) fn appsat(
     locked: &LockedCircuit,
     budget: &AttackBudget,
     config: &AppSatConfig,
     portfolio: &Portfolio,
 ) -> AttackReport {
-    let start = budget.start();
-    let mk = |outcome, iterations, stats: RunStats| AttackReport {
-        outcome,
-        elapsed: budget.clock.now().duration_since(start),
-        iterations,
-        bound: 1,
-        stats,
-    };
-    let Some(mut m) = ScanModel::new(locked, budget.conflict_budget) else {
-        return mk(AttackOutcome::Fail, 0, RunStats::default());
-    };
-    m.solver().set_clock(budget.clock.clone());
-    portfolio.install(m.solver());
-    let mut rng = StdRng::seed_from_u64(0xa995a7);
-    let diff = m.obs_differ();
-    // Retractable DIP-hunt constraint (see `sat_attack`): the final
-    // extraction reuses the same live solver once the scope is popped.
-    m.solver().push_scope();
-    m.solver().add_scoped_clause(&[diff]);
-    let mut iterations = 0usize;
-    loop {
-        let Some(rem) = budget.remaining(start) else {
-            return mk(
-                AttackOutcome::Timeout,
-                iterations,
-                m.solver().stats().into(),
-            );
-        };
-        m.solver().set_timeout(Some(rem));
-        match portfolio.race_scoped(m.solver(), &[]) {
-            SatResult::Unknown => {
-                return mk(
-                    AttackOutcome::Timeout,
-                    iterations,
-                    m.solver().stats().into(),
-                )
+    scan_attack(locked, budget, portfolio, 0xa2, |dip, m| {
+        let mut rng = StdRng::seed_from_u64(0xa995a7);
+        let diff = m.obs_differ();
+        let keys = m.key_pair();
+        // Settle phase: estimate the current candidate's error.
+        let settle = |m: &mut ScanModel, iterations: usize| {
+            if iterations % config.settle_every != 0 {
+                return Verdict::Continue(());
             }
-            SatResult::Unsat => break,
-            SatResult::Sat => {
-                iterations += 1;
-                if iterations > budget.max_iterations {
-                    return mk(
-                        AttackOutcome::Timeout,
-                        iterations,
-                        m.solver().stats().into(),
-                    );
-                }
-                let x = m.values(&m.xs);
-                let s = m.values(&m.ss);
-                m.constrain_pattern(&x, &s);
-                if portfolio.race(m.solver()) == SatResult::Unsat {
-                    return mk(AttackOutcome::Cns, iterations, m.solver().stats().into());
-                }
-                // Settle phase: estimate the current candidate's error.
-                if iterations % config.settle_every == 0 {
-                    let cand = KeyValue::from_bits(m.values(&m.k1));
-                    let err = estimate_error(locked, &cand, config.queries, &mut rng);
-                    if err <= config.error_threshold {
-                        return if verify_candidate_key(locked, &cand, 256, 0xa1) {
-                            mk(
-                                AttackOutcome::KeyFound(cand),
-                                iterations,
-                                m.solver().stats().into(),
-                            )
-                        } else {
-                            mk(
-                                AttackOutcome::WrongKey(cand),
-                                iterations,
-                                m.solver().stats().into(),
-                            )
-                        };
-                    }
-                }
-            }
-        }
-    }
-    m.solver().pop_scope();
-    match portfolio.race(m.solver()) {
-        SatResult::Unsat => mk(AttackOutcome::Cns, iterations, m.solver().stats().into()),
-        SatResult::Unknown => mk(
-            AttackOutcome::Timeout,
-            iterations,
-            m.solver().stats().into(),
-        ),
-        SatResult::Sat => {
             let cand = KeyValue::from_bits(m.values(&m.k1));
-            if verify_candidate_key(locked, &cand, 256, 0xa2) {
-                mk(
-                    AttackOutcome::KeyFound(cand),
-                    iterations,
-                    m.solver().stats().into(),
-                )
+            let err = estimate_error(locked, &cand, config.queries, &mut rng);
+            if err <= config.error_threshold {
+                Verdict::Break(verdict(locked, cand, 0xa1))
             } else {
-                mk(
-                    AttackOutcome::WrongKey(cand),
-                    iterations,
-                    m.solver().stats().into(),
-                )
+                Verdict::Continue(())
             }
-        }
-    }
+        };
+        dip.hunt(m, &[&[diff]], |m| m.constrain_dip(&keys), settle)
+    })
 }
 
 /// Runs the Double-DIP attack, racing each solver query across the given
@@ -184,141 +105,35 @@ pub(crate) fn double_dip(
     budget: &AttackBudget,
     portfolio: &Portfolio,
 ) -> AttackReport {
-    let start = budget.start();
-    let mk = |outcome, iterations, stats: RunStats| AttackReport {
-        outcome,
-        elapsed: budget.clock.now().duration_since(start),
-        iterations,
-        bound: 1,
-        stats,
-    };
-    let Some(mut m) = ScanModel::new(locked, budget.conflict_budget) else {
-        return mk(AttackOutcome::Fail, 0, RunStats::default());
-    };
-    m.solver().set_clock(budget.clock.clone());
-    portfolio.install(m.solver());
-    // Third key copy sharing the same inputs.
-    let (k3, f3) = m.add_key_copy();
-    let d12 = m.obs_differ();
-    let (f1, obs3) = (m.f1.clone(), f3);
-    let d13 = m.m.obs_differ(&f1, &obs3);
-
-    // Phase 1 scope: demand a *double* DIP (both miters differ).
-    m.solver().push_scope();
-    m.solver().add_scoped_clause(&[d12]);
-    m.solver().add_scoped_clause(&[d13]);
-    let mut iterations = 0usize;
-    loop {
-        let Some(rem) = budget.remaining(start) else {
-            return mk(
-                AttackOutcome::Timeout,
-                iterations,
-                m.solver().stats().into(),
-            );
-        };
-        m.solver().set_timeout(Some(rem));
-        match portfolio.race_scoped(m.solver(), &[]) {
-            SatResult::Unknown => {
-                return mk(
-                    AttackOutcome::Timeout,
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            }
-            SatResult::Unsat => break,
-            SatResult::Sat => {
-                iterations += 1;
-                if iterations > budget.max_iterations {
-                    return mk(
-                        AttackOutcome::Timeout,
-                        iterations,
-                        m.solver().stats().into(),
-                    );
-                }
-                let x = m.values(&m.xs);
-                let s = m.values(&m.ss);
-                // One oracle query constrains all three key copies (the
-                // third must stay consistent too).
-                let (k1, k2) = (m.k1.clone(), m.k2.clone());
-                m.constrain_pattern_for(&[&k1, &k2, &k3], &x, &s);
-                if portfolio.race(m.solver()) == SatResult::Unsat {
-                    return mk(AttackOutcome::Cns, iterations, m.solver().stats().into());
-                }
-            }
-        }
-    }
-    m.solver().pop_scope();
-    // Fall back to the single-miter termination: no pair of distinguishable
-    // keys remains at all, or only double-DIPs are exhausted. Phase 2
-    // scope: a plain single-miter DIP.
-    m.solver().push_scope();
-    m.solver().add_scoped_clause(&[d12]);
-    loop {
-        let Some(rem) = budget.remaining(start) else {
-            return mk(
-                AttackOutcome::Timeout,
-                iterations,
-                m.solver().stats().into(),
-            );
-        };
-        m.solver().set_timeout(Some(rem));
-        match portfolio.race_scoped(m.solver(), &[]) {
-            SatResult::Unknown => {
-                return mk(
-                    AttackOutcome::Timeout,
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            }
-            SatResult::Unsat => break,
-            SatResult::Sat => {
-                iterations += 1;
-                if iterations > budget.max_iterations {
-                    return mk(
-                        AttackOutcome::Timeout,
-                        iterations,
-                        m.solver().stats().into(),
-                    );
-                }
-                let x = m.values(&m.xs);
-                let s = m.values(&m.ss);
-                m.constrain_pattern(&x, &s);
-                if portfolio.race(m.solver()) == SatResult::Unsat {
-                    return mk(AttackOutcome::Cns, iterations, m.solver().stats().into());
-                }
-            }
-        }
-    }
-    m.solver().pop_scope();
-    match portfolio.race(m.solver()) {
-        SatResult::Unsat => mk(AttackOutcome::Cns, iterations, m.solver().stats().into()),
-        SatResult::Unknown => mk(
-            AttackOutcome::Timeout,
-            iterations,
-            m.solver().stats().into(),
-        ),
-        SatResult::Sat => {
-            let cand = KeyValue::from_bits(m.values(&m.k1));
-            if verify_candidate_key(locked, &cand, 256, 0xdd) {
-                mk(
-                    AttackOutcome::KeyFound(cand),
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            } else {
-                mk(
-                    AttackOutcome::WrongKey(cand),
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            }
-        }
-    }
+    scan_attack(locked, budget, portfolio, 0xdd, |dip, m| {
+        // Third key copy sharing the same inputs.
+        let (k3, f3) = m.add_key_copy();
+        let d12 = m.obs_differ();
+        let f1 = m.f1.clone();
+        let d13 = m.m.obs_differ(&f1, &f3);
+        // Phase 1: demand a *double* DIP (both miters differ). One oracle
+        // query constrains all three key copies (the third must stay
+        // consistent too).
+        let [k1, k2] = m.key_pair();
+        let triple = [k1, k2, k3];
+        dip.hunt(
+            m,
+            &[&[d12], &[d13]],
+            |m| m.constrain_dip(&triple),
+            no_settle,
+        )?;
+        // Phase 2 falls back to the single-miter termination: no pair of
+        // distinguishable keys remains at all, or only double-DIPs are
+        // exhausted.
+        let pair = m.key_pair();
+        dip.hunt(m, &[&[d12]], |m| m.constrain_dip(&pair), no_settle)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AttackOutcome;
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::{TtLock, XorLock};
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};

@@ -3,7 +3,8 @@
 //!
 //! Every one of them searches for a **constant key** consistent with the sequential
 //! oracle by unrolling the locked circuit over clock cycles and running the
-//! classic DIP loop per bound:
+//! crate's one DIP driver (`dip.rs`) per bound; this module supplies the
+//! unrolled miter and the per-DIP step:
 //!
 //! 1. build a *miter*: two copies of the unrolled locked circuit sharing the
 //!    input sequence (and, for RANE, the unknown initial state) but carrying
@@ -25,10 +26,10 @@
 //! miter copy is one [`MiterBuilder::frame`] call, with the next-state
 //! literals threaded into the following frame. Every strategy runs on one
 //! **persistent incremental solver**: frames are appended as the bound
-//! grows, the per-bound "some output differs" constraint lives in a
-//! retractable [`Solver`] scope ([`Solver::push_scope`] /
-//! [`Solver::pop_scope`]), and oracle/DIP constraints are asserted
-//! permanently — so learnt clauses survive across bounds and iterations.
+//! grows, the per-bound "some output differs" constraint lives in the
+//! driver's retractable [`Solver`](cutelock_sat::Solver) scope, and
+//! oracle/DIP constraints are asserted permanently — so learnt clauses
+//! survive across bounds and iterations.
 //!
 //! [`run_attack`](crate::run_attack) builds one engine per strategy:
 //!
@@ -67,14 +68,14 @@
 //! model collapses to `CNS` just as in Tables III–IV.
 
 use cutelock_core::clock::Instant;
-use cutelock_core::{KeyValue, LockedCircuit};
+use cutelock_core::LockedCircuit;
 use cutelock_netlist::unroll::scan_view;
 use cutelock_sat::{CircuitEncoder, Lit, MiterBuilder, PortVals, SatResult, Solver};
 use cutelock_sim::{NetlistOracle, SequentialOracle};
 
-use crate::outcome::verify_candidate_key;
+use crate::dip::{no_settle, Dip, DipModel, Verdict};
 use crate::portfolio::Portfolio;
-use crate::{AttackBudget, AttackOutcome, AttackReport, RunStats};
+use crate::{AttackBudget, AttackOutcome, AttackReport};
 
 /// How the attacker models the initial state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,29 +87,28 @@ pub(crate) enum InitModel {
     Secret,
 }
 
-/// One miter copy's per-frame literals.
-struct Chain {
-    /// Data-input literals per frame (only kept for the first copy).
-    xs: Vec<Vec<Lit>>,
-    /// Primary-output literals per frame.
-    pos: Vec<Vec<Lit>>,
-    /// State literals feeding the *next* frame.
-    state: Vec<Lit>,
-}
-
 /// Incremental-mode state: the miter (owning the solver), the two
-/// key-literal vectors, both chains, and the shared secret-initial-state
-/// literals (if any).
+/// key-literal vectors, the shared data inputs of every frame so far, each
+/// copy's state literals feeding the next frame, and the shared
+/// secret-initial-state literals (if any).
 struct IncState {
     m: MiterBuilder,
     k1: Vec<Lit>,
     k2: Vec<Lit>,
-    c1: Chain,
-    c2: Chain,
+    xs: Vec<Vec<Lit>>,
+    state1: Vec<Lit>,
+    state2: Vec<Lit>,
     secret: Option<Vec<Lit>>,
 }
 
-/// The shared DIP-loop engine behind BBO, INT, KC2 and RANE.
+impl DipModel for IncState {
+    fn solver(&mut self) -> &mut Solver {
+        &mut self.m.enc.solver
+    }
+}
+
+/// The unrolled miter model and per-DIP step behind BBO, INT, KC2 and
+/// RANE.
 pub(crate) struct Engine<'a> {
     locked: &'a LockedCircuit,
     budget: &'a AttackBudget,
@@ -118,7 +118,6 @@ pub(crate) struct Engine<'a> {
     /// Query-level portfolio racing (and the attack-level stop flag).
     portfolio: &'a Portfolio,
     start: Instant,
-    iterations: usize,
 }
 
 impl<'a> Engine<'a> {
@@ -136,7 +135,6 @@ impl<'a> Engine<'a> {
             fix_key_bits,
             portfolio,
             start: budget.start(),
-            iterations: 0,
         }
     }
 
@@ -144,18 +142,8 @@ impl<'a> Engine<'a> {
         self.budget.remaining(self.start)
     }
 
-    fn report(&self, outcome: AttackOutcome, bound: usize, stats: RunStats) -> AttackReport {
-        AttackReport {
-            outcome,
-            elapsed: self.budget.clock.now().duration_since(self.start),
-            iterations: self.iterations,
-            bound,
-            stats,
-        }
-    }
-
     /// A fresh miter over the scan view with keys, optional secret initial
-    /// state, and empty frame chains — the bound-0 state of a run.
+    /// state, and no frames yet — the bound-0 state of a run.
     fn fresh_state(&self) -> IncState {
         let sv = scan_view(&self.locked.netlist).expect("locked netlist is well-formed");
         let mut m = MiterBuilder::new(sv, &[]);
@@ -169,22 +157,13 @@ impl<'a> Engine<'a> {
         let secret: Option<Vec<Lit>> = (self.init == InitModel::Secret)
             .then(|| m.enc.fresh_lits(self.locked.netlist.dff_count()));
         let init = self.init_state(&mut m.enc, secret.as_deref());
-        let c1 = Chain {
-            xs: Vec::new(),
-            pos: Vec::new(),
-            state: init.clone(),
-        };
-        let c2 = Chain {
-            xs: Vec::new(),
-            pos: Vec::new(),
-            state: init,
-        };
         IncState {
             m,
             k1,
             k2,
-            c1,
-            c2,
+            xs: Vec::new(),
+            state1: init.clone(),
+            state2: init,
             secret,
         }
     }
@@ -207,27 +186,33 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Adds the oracle-consistency constraints for a discriminating input
-    /// sequence: both key copies must reproduce the oracle outputs.
-    fn add_dip_constraints(
+    /// The per-DIP step: reads the discriminating input sequence, replays
+    /// it on the oracle from reset, and constrains both key copies to
+    /// reproduce the oracle outputs. KC2 then crunches the key condition,
+    /// which may run out the deadline.
+    fn constrain_dip(
         &self,
-        m: &mut MiterBuilder,
-        k1: &[Lit],
-        k2: &[Lit],
-        secret: Option<&[Lit]>,
-        xseq: &[Vec<bool>],
-        oracle_out: &[Vec<bool>],
-    ) {
-        for keys in [k1, k2] {
-            let mut state = self.init_state(&mut m.enc, secret);
-            for (xs, ys) in xseq.iter().zip(oracle_out) {
-                let f = m
-                    .frame(keys, PortVals::Shared(&state), PortVals::Const(xs))
-                    .expect("scan view encodes");
-                m.enc.pin(&f.outputs, ys);
+        st: &mut IncState,
+        oracle: &mut NetlistOracle,
+        fixed: &mut [Option<bool>],
+    ) -> Verdict {
+        let xseq: Vec<Vec<bool>> = st.xs.iter().map(|frame| st.m.enc.values(frame)).collect();
+        oracle.reset();
+        let oracle_out: Vec<Vec<bool>> = xseq.iter().map(|x| oracle.step(x)).collect();
+        for keys in [&st.k1, &st.k2] {
+            let mut state = self.init_state(&mut st.m.enc, st.secret.as_deref());
+            for (xs, ys) in xseq.iter().zip(&oracle_out) {
+                let f =
+                    st.m.frame(keys, PortVals::Shared(&state), PortVals::Const(xs))
+                        .expect("scan view encodes");
+                st.m.enc.pin(&f.outputs, ys);
                 state = f.next_state;
             }
         }
+        if self.fix_key_bits && self.crunch_key_bits(&mut st.m.enc.solver, &st.k1, fixed) {
+            return Verdict::Break(AttackOutcome::Timeout);
+        }
+        Verdict::Continue(())
     }
 
     /// KC2-style key-bit fixation: probe each still-free key bit under a
@@ -264,159 +249,62 @@ impl<'a> Engine<'a> {
         timed_out
     }
 
-    pub(crate) fn run(mut self) -> AttackReport {
+    /// Runs the attack: one DIP hunt per bound on the growing miter, then
+    /// a candidate-key extraction that either ends the run or, on a wrong
+    /// key below `max_bound`, deepens the unrolling.
+    pub(crate) fn run(self) -> AttackReport {
+        let mut dip = Dip::new(self.budget, self.portfolio, self.start);
         let ki = self.locked.netlist.key_inputs().len();
-        if ki == 0 {
-            return self.report(AttackOutcome::Fail, 0, RunStats::default());
+        if ki == 0 || self.budget.max_bound == 0 {
+            return dip.report(AttackOutcome::Fail, 0, None);
         }
         let mut oracle =
             NetlistOracle::new(self.locked.original.clone()).expect("oracle netlist valid");
-
-        let mut inc: Option<IncState> = None;
-        let mut diff_lits: Vec<Lit> = Vec::new();
         let mut fixed: Vec<Option<bool>> = vec![None; ki];
-
-        for bound in 1..=self.budget.max_bound {
-            let st = inc.get_or_insert_with(|| self.fresh_state());
-
+        let mut st = self.fresh_state();
+        let mut diff_lits: Vec<Lit> = Vec::new();
+        let mut bound = 0;
+        loop {
+            bound += 1;
             // Extend the miter up to `bound` frames: fresh shared data
             // inputs per frame, state threaded from the previous frame.
-            while st.c1.pos.len() < bound {
+            while st.xs.len() < bound {
                 let f1 =
-                    st.m.frame(&st.k1, PortVals::Shared(&st.c1.state), PortVals::Fresh)
+                    st.m.frame(&st.k1, PortVals::Shared(&st.state1), PortVals::Fresh)
                         .expect("scan view encodes");
                 let f2 =
                     st.m.frame(
                         &st.k2,
-                        PortVals::Shared(&st.c2.state),
+                        PortVals::Shared(&st.state2),
                         PortVals::Shared(&f1.xs),
                     )
                     .expect("scan view encodes");
-                let d = st.m.enc.differ(&f1.outputs, &f2.outputs);
-                st.c1.xs.push(f1.xs);
-                st.c1.pos.push(f1.outputs);
-                st.c1.state = f1.next_state;
-                st.c2.pos.push(f2.outputs);
-                st.c2.state = f2.next_state;
-                diff_lits.push(d);
+                diff_lits.push(st.m.enc.differ(&f1.outputs, &f2.outputs));
+                st.xs.push(f1.xs);
+                st.state1 = f1.next_state;
+                st.state2 = f2.next_state;
             }
-
-            // DIP loop at this bound. The "some frame's outputs differ"
-            // constraint holds only while we hunt for discriminating
-            // sequences, so it lives in a retractable scope: one clause per
-            // bound instead of one dead activation clause per iteration,
-            // and the solver (with everything it learnt) stays live for the
-            // candidate-key extraction and the next bound.
-            st.m.enc.solver.push_scope();
-            st.m.enc.solver.add_scoped_clause(&diff_lits);
-            loop {
-                let Some(rem) = self.remaining() else {
-                    return self.report(
-                        AttackOutcome::Timeout,
-                        bound,
-                        st.m.enc.solver.stats().into(),
-                    );
-                };
-                st.m.enc.solver.set_timeout(Some(rem));
-                match self.portfolio.race_scoped(&mut st.m.enc.solver, &[]) {
-                    SatResult::Unknown => {
-                        return self.report(
-                            AttackOutcome::Timeout,
-                            bound,
-                            st.m.enc.solver.stats().into(),
-                        )
-                    }
-                    SatResult::Unsat => break, // no DIS at this bound
-                    SatResult::Sat => {
-                        self.iterations += 1;
-                        if self.iterations > self.budget.max_iterations {
-                            return self.report(
-                                AttackOutcome::Timeout,
-                                bound,
-                                st.m.enc.solver.stats().into(),
-                            );
-                        }
-                        let xseq: Vec<Vec<bool>> = st
-                            .c1
-                            .xs
-                            .iter()
-                            .map(|frame| st.m.enc.values(frame))
-                            .collect();
-                        oracle.reset();
-                        let ys: Vec<Vec<bool>> = xseq.iter().map(|x| oracle.step(x)).collect();
-                        self.add_dip_constraints(
-                            &mut st.m,
-                            &st.k1,
-                            &st.k2,
-                            st.secret.as_deref(),
-                            &xseq,
-                            &ys,
-                        );
-                        if self.fix_key_bits
-                            && self.crunch_key_bits(&mut st.m.enc.solver, &st.k1, &mut fixed)
-                        {
-                            return self.report(
-                                AttackOutcome::Timeout,
-                                bound,
-                                st.m.enc.solver.stats().into(),
-                            );
-                        }
-                        // Consistency: does any constant key remain?
-                        if self.portfolio.race(&mut st.m.enc.solver) == SatResult::Unsat {
-                            return self.report(
-                                AttackOutcome::Cns,
-                                bound,
-                                st.m.enc.solver.stats().into(),
-                            );
-                        }
-                    }
-                }
-            }
-            st.m.enc.solver.pop_scope();
-
-            // No DIS at this bound: extract and verify a candidate key.
-            match self.portfolio.race(&mut st.m.enc.solver) {
-                SatResult::Unsat => {
-                    return self.report(AttackOutcome::Cns, bound, st.m.enc.solver.stats().into())
-                }
-                SatResult::Unknown => {
-                    return self.report(
-                        AttackOutcome::Timeout,
-                        bound,
-                        st.m.enc.solver.stats().into(),
-                    )
-                }
-                SatResult::Sat => {
-                    let key = KeyValue::from_bits(st.m.enc.values(&st.k1));
-                    if verify_candidate_key(self.locked, &key, 256, 0xd1f) {
-                        return self.report(
-                            AttackOutcome::KeyFound(key),
-                            bound,
-                            st.m.enc.solver.stats().into(),
-                        );
-                    }
-                    if bound == self.budget.max_bound {
-                        return self.report(
-                            AttackOutcome::WrongKey(key),
-                            bound,
-                            st.m.enc.solver.stats().into(),
-                        );
-                    }
-                    // Deepen the unrolling and keep going.
-                }
-            }
+            // The "some frame's outputs differ" clause holds only during
+            // the hunt: one retractable clause per bound, and the solver
+            // (with everything it learnt) stays live for the extraction
+            // and the next bound.
+            let step = |st: &mut IncState| self.constrain_dip(st, &mut oracle, &mut fixed);
+            let outcome = match dip.hunt(&mut st, &[&diff_lits], step, no_settle) {
+                Verdict::Break(outcome) => outcome,
+                Verdict::Continue(()) => match dip.extract(&mut st.m, &st.k1, self.locked, 0xd1f) {
+                    AttackOutcome::WrongKey(_) if bound < self.budget.max_bound => continue,
+                    outcome => outcome,
+                },
+            };
+            return dip.report(outcome, bound, Some(&st.m.enc.solver));
         }
-        let stats = inc
-            .as_ref()
-            .map(|st| st.m.enc.solver.stats().into())
-            .unwrap_or_default();
-        self.report(AttackOutcome::Fail, self.budget.max_bound, stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::verify_candidate_key;
     use crate::{run_attack, AttackSpec, AttackStrategy};
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::XorLock;

@@ -74,6 +74,7 @@ pub mod appsat;
 pub mod bmc;
 pub mod certify;
 pub mod dana;
+mod dip;
 pub mod fall;
 mod outcome;
 pub mod portfolio;

@@ -7,12 +7,17 @@
 //! no oracle counterpart and stay unobservable). All CNF construction goes
 //! through [`MiterBuilder`] — this module only adds the `LockedCircuit`
 //! bookkeeping: which flip-flops are shared with the oracle, and how oracle
-//! scan queries become pinned constraint frames.
+//! scan queries become pinned constraint frames. [`scan_attack`] runs one
+//! such attack through the [`Dip`] driver.
 
 use cutelock_core::LockedCircuit;
 use cutelock_netlist::unroll::scan_view;
-use cutelock_sat::{Frame, Lit, MiterBuilder, PortVals};
+use cutelock_sat::{Frame, Lit, MiterBuilder, PortVals, Solver};
 use cutelock_sim::NetlistOracle;
+
+use crate::dip::{Dip, DipModel, Verdict};
+use crate::portfolio::Portfolio;
+use crate::{AttackBudget, AttackOutcome, AttackReport};
 
 /// For each flip-flop of the *original* circuit (the oracle's scan-chain
 /// order), its index in the locked circuit's flip-flop list.
@@ -59,9 +64,14 @@ pub(crate) struct ScanModel {
 }
 
 impl ScanModel {
-    /// Builds the miter, or `None` when the netlist has no key inputs or is
-    /// structurally unusable.
-    pub fn new(locked: &LockedCircuit, conflict_budget: Option<u64>) -> Option<Self> {
+    /// Builds the miter on a solver under the budget's conflict cap and
+    /// clock and the portfolio's stop flag, or `None` when the netlist has
+    /// no key inputs or is structurally unusable.
+    pub fn new(
+        locked: &LockedCircuit,
+        budget: &AttackBudget,
+        portfolio: &Portfolio,
+    ) -> Option<Self> {
         if locked.netlist.key_inputs().is_empty() {
             return None;
         }
@@ -69,7 +79,7 @@ impl ScanModel {
         let oracle = NetlistOracle::new(locked.original.clone()).ok()?;
         let shared = shared_ffs(locked);
         let mut m = MiterBuilder::new(sv, &shared);
-        m.enc.solver.set_conflict_budget(conflict_budget);
+        m.enc.solver.set_conflict_budget(budget.conflict_budget);
         let k1 = m.fresh_keys();
         let k2 = m.fresh_keys();
         let xs = m.fresh_data();
@@ -80,6 +90,8 @@ impl ScanModel {
         let f2 = m
             .frame(&k2, PortVals::Shared(&ss), PortVals::Shared(&xs))
             .ok()?;
+        m.enc.solver.set_clock(budget.clock.clone());
+        portfolio.install(&mut m.enc.solver);
         Some(Self {
             shared_ffs: shared,
             m,
@@ -93,14 +105,14 @@ impl ScanModel {
         })
     }
 
-    /// The live incremental solver (scopes, budgets, solving).
-    pub fn solver(&mut self) -> &mut cutelock_sat::Solver {
-        &mut self.m.enc.solver
-    }
-
     /// Model values of `lits` after a SAT answer.
     pub fn values(&self, lits: &[Lit]) -> Vec<bool> {
         self.m.enc.values(lits)
+    }
+
+    /// The miter key copies `[k1, k2]`.
+    pub fn key_pair(&self) -> [Vec<Lit>; 2] {
+        [self.k1.clone(), self.k2.clone()]
     }
 
     /// The miter constraint: some observation of the two copies differs.
@@ -120,24 +132,46 @@ impl ScanModel {
         (keys, frame)
     }
 
-    /// Queries the oracle on scan pattern `(x, s)` and pins a fresh
-    /// constraint copy per key vector in `key_copies` to its answer.
-    pub fn constrain_pattern_for(&mut self, key_copies: &[&[Lit]], x: &[bool], s: &[bool]) {
+    /// The per-DIP step: reads the scan pattern `(x, s)` the hunt found,
+    /// queries the oracle on it and pins a fresh constraint copy per key
+    /// vector in `key_copies` to its answer.
+    pub fn constrain_dip(&mut self, key_copies: &[Vec<Lit>]) -> Verdict {
+        let (x, s) = (self.values(&self.xs), self.values(&self.ss));
         let s_shared: Vec<bool> = self.shared_ffs.iter().map(|&f| s[f]).collect();
-        let (y, s_next) = self.oracle.scan_query(&s_shared, x);
-        for &keys in key_copies {
+        let (y, s_next) = self.oracle.scan_query(&s_shared, &x);
+        for keys in key_copies {
             let f = self
                 .m
-                .frame(keys, PortVals::Const(s), PortVals::Const(x))
+                .frame(keys, PortVals::Const(&s), PortVals::Const(&x))
                 .expect("scan view encodes");
             self.m.pin_observations(&f, &y, &s_next);
         }
+        Verdict::Continue(())
     }
+}
 
-    /// Pins both miter key copies to the oracle's answer on `(x, s)` — the
-    /// step after every discriminating input pattern.
-    pub fn constrain_pattern(&mut self, x: &[bool], s: &[bool]) {
-        let (k1, k2) = (self.k1.clone(), self.k2.clone());
-        self.constrain_pattern_for(&[&k1, &k2], x, s);
+impl DipModel for ScanModel {
+    fn solver(&mut self) -> &mut Solver {
+        &mut self.m.enc.solver
     }
+}
+
+/// Runs one scan-view attack: builds the [`ScanModel`], lets `hunt` drive
+/// the DIP loop through the [`Dip`] driver, then extracts `k1` and
+/// verifies it under `seed`. Every report is at bound 1.
+pub(crate) fn scan_attack(
+    locked: &LockedCircuit,
+    budget: &AttackBudget,
+    portfolio: &Portfolio,
+    seed: u64,
+    hunt: impl FnOnce(&mut Dip, &mut ScanModel) -> Verdict,
+) -> AttackReport {
+    let mut dip = Dip::new(budget, portfolio, budget.start());
+    let Some(mut m) = ScanModel::new(locked, budget, portfolio) else {
+        return dip.report(AttackOutcome::Fail, 1, None);
+    };
+    let outcome = hunt(&mut dip, &mut m)
+        .break_value()
+        .unwrap_or_else(|| dip.extract(&mut m.m, &m.k1, locked, seed));
+    dip.report(outcome, 1, Some(&m.m.enc.solver))
 }
