@@ -5,7 +5,7 @@ use std::io::{BufRead, Write};
 use std::time::Duration;
 
 use cutelock_attacks::certify::prove_locked_equivalence;
-use cutelock_attacks::dana::{dana_attack_with_budget, score_against_ground_truth};
+use cutelock_attacks::dana::dana_attack_with_budget;
 use cutelock_attacks::{
     run_attack, run_race, write_records, AttackBudget, AttackSpec, AttackStrategy, Portfolio,
     RunRecord,
@@ -335,7 +335,6 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
         let mut sizes: Vec<usize> = r.clusters.iter().map(Vec::len).collect();
         sizes.sort_unstable_by(|a, b| b.cmp(a));
         println!("cluster sizes: {sizes:?}");
-        let _ = score_against_ground_truth; // reachable via library API
         return Ok(());
     }
     let strategy =
@@ -413,6 +412,12 @@ fn cmd_report(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &[])?;
     let store_path = args.req("store")?;
     let table = read_table(store_path).map_err(|e| format!("{store_path}: {e}"))?;
+    if table.torn_bytes() > 0 {
+        eprintln!(
+            "warning: {store_path}: dropped a torn tail of {} byte(s) after the last whole frame",
+            table.torn_bytes()
+        );
+    }
 
     // Default metric: attack stores carry `conflicts`, bench stores carry
     // `median_ns`; anything else needs an explicit --metric.

@@ -5,6 +5,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 
 use cutelock_cli::commands::dispatch;
 use cutelock_store::format::read_table;
@@ -175,4 +176,46 @@ fn report_queries_and_gates_the_store() {
     ])
     .expect_err("doctored baseline must gate");
     assert!(err.contains("regressed"), "got: {err}");
+}
+
+/// A writer killed mid-frame leaves a torn store tail. `report` must still
+/// read every whole row (exit 0, one warning line on stderr), and the next
+/// `attack --store` must cut the tail and append behind the intact rows.
+#[test]
+fn torn_store_tail_is_dropped_and_appended_past() {
+    let tmp = TmpDir::new("torn");
+    let store = tmp.path("s.clk");
+    let cutelock = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_cutelock"))
+            .args(args)
+            .output()
+            .expect("cutelock runs")
+    };
+    let attack = || cutelock(&["attack", "--quick", "--store", &store]);
+    attack();
+    attack();
+    // truncate -s -7: the second run's chunk frame loses its last 7 bytes.
+    let bytes = fs::read(&store).expect("store written");
+    fs::write(&store, &bytes[..bytes.len() - 7]).expect("truncate");
+
+    let out = cutelock(&["report", "--store", &store]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "report failed: {stderr}");
+    assert!(stdout.contains(": 1 rows,"), "{stdout}");
+    let warnings: Vec<&str> = stderr.lines().filter(|l| l.contains("torn")).collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(warnings[0].contains("byte(s)"), "{stderr}");
+
+    // The held lock makes `attack` exit 2 either way; the store must take
+    // the row regardless.
+    let out = attack();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("recorded 1 run"), "{stderr}");
+    let t = read_table(&store).expect("store parses after the append");
+    assert_eq!((t.rows(), t.torn_bytes()), (2, 0));
+    let out = cutelock(&["report", "--store", &store]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains(": 2 rows,"));
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("torn"));
 }

@@ -20,9 +20,19 @@
 //! Opening an existing file validates the schema and replays it to recover
 //! the dictionary, then appends — the byte stream of "one run, then another"
 //! is identical to "two runs appended to the same file".
+//!
+//! A writer killed mid-flush leaves a **torn tail**: the file ends inside a
+//! frame, which the length fields and fixed cell widths reveal without any
+//! checksum. The reader keeps the rows of every whole chunk frame and
+//! reports the bytes after the last one ([`Table::torn_bytes`]); a
+//! dictionary delta is only ever written right before the chunk that uses
+//! it, so a delta without its chunk belongs to the torn tail too.
+//! [`Writer::open`] cuts the tail off before appending. Any other damage —
+//! a bad magic, a torn header, an unknown frame tag, an oversize chunk, an
+//! unknown dictionary code — is still [`StoreError::Corrupt`].
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
 use crate::table::{Schema, Table, CHUNK_ROWS};
@@ -48,11 +58,13 @@ pub struct Writer {
 
 impl Writer {
     /// Opens `path` for appending, creating it (and writing the header) if
-    /// absent. An existing file must carry exactly this schema.
+    /// absent. An existing file must carry exactly this schema; a torn
+    /// tail is cut off first.
     pub fn open(path: impl AsRef<Path>, schema: Schema) -> Result<Writer, StoreError> {
         let path = path.as_ref();
         let exists = path.exists();
         let mut dict = Dictionary::new();
+        let mut torn = 0;
         if exists {
             // Replay the file: validates magic + schema and recovers every
             // dictionary code so appended rows keep interning consistently.
@@ -67,8 +79,12 @@ impl Writer {
                 dict.intern(s);
             }
             dict.mark_flushed();
+            torn = existing.torn_bytes();
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
+        if torn > 0 {
+            file.set_len(file.metadata()?.len() - torn)?;
+        }
         let mut out = BufWriter::new(file);
         if !exists {
             out.write_all(&MAGIC)?;
@@ -171,10 +187,11 @@ impl Writer {
 }
 
 /// Reads a whole store file into an in-memory [`Table`] with a single
-/// sequential pass (no seeking, no mmap).
+/// sequential pass (no seeking, no mmap). A torn tail is dropped and
+/// counted in [`Table::torn_bytes`].
 pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StoreError> {
-    let file = File::open(path.as_ref())?;
-    let mut r = BufReader::new(file);
+    let bytes = std::fs::read(path.as_ref())?;
+    let mut r: &[u8] = &bytes;
 
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)
@@ -184,111 +201,137 @@ pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StoreError> {
             "bad magic: not a cutelock store".into(),
         ));
     }
-
-    let ncols = read_u32(&mut r)? as usize;
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let name = read_string(&mut r)?;
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)
-            .map_err(|_| StoreError::Corrupt("truncated column type tag".into()))?;
-        let ty = ColumnType::from_tag(tag[0])
-            .ok_or_else(|| StoreError::Corrupt(format!("unknown column type tag {}", tag[0])))?;
-        columns.push((name, ty));
-    }
-    let schema = Schema::from_columns(columns);
+    let schema = read_header(&mut r).map_err(|e| match e {
+        StoreError::Io(e) if e.kind() == ErrorKind::UnexpectedEof => {
+            StoreError::Corrupt("truncated header".into())
+        }
+        e => e,
+    })?;
 
     // Re-pushing every row through a fresh Table re-interns strings in the
     // same first-seen order, reproducing the on-disk codes and
     // canonicalizing chunk sizes regardless of how the file was flushed.
     let mut table = Table::new(schema.clone());
     let mut dict = Dictionary::new();
-    loop {
-        let mut tag = [0u8; 1];
-        if r.read(&mut tag)? == 0 {
-            break; // clean EOF between frames
-        }
-        match tag[0] {
-            FRAME_DICT => {
-                let count = read_u32(&mut r)?;
-                for _ in 0..count {
-                    let s = read_string(&mut r)?;
-                    dict.intern(&s);
-                }
-            }
-            FRAME_CHUNK => {
-                let nrows = read_u32(&mut r)? as usize;
-                if nrows > CHUNK_ROWS {
-                    return Err(StoreError::Corrupt(format!(
-                        "chunk frame claims {nrows} rows (max {CHUNK_ROWS})"
-                    )));
-                }
-                // Cells arrive column-major; gather them row-major so they
-                // can be re-pushed through Table::push.
-                let mut rows: Vec<Vec<Value>> = vec![Vec::with_capacity(schema.len()); nrows];
-                for (_, ty) in schema.columns() {
-                    for row in rows.iter_mut() {
-                        let val = match ty {
-                            ColumnType::U64 => Value::U64(read_u64(&mut r)?),
-                            ColumnType::F64 => Value::F64(f64::from_bits(read_u64(&mut r)?)),
-                            ColumnType::Bool => {
-                                let mut b = [0u8; 1];
-                                r.read_exact(&mut b).map_err(|_| {
-                                    StoreError::Corrupt("truncated bool cell".into())
-                                })?;
-                                Value::Bool(b[0] != 0)
-                            }
-                            ColumnType::Str => {
-                                let code = read_u32(&mut r)?;
-                                let s = dict.resolve(code).ok_or_else(|| {
-                                    StoreError::Corrupt(format!(
-                                        "chunk references dictionary code {code} before its delta frame"
-                                    ))
-                                })?;
-                                Value::str(s)
-                            }
-                        };
-                        row.push(val);
-                    }
-                }
+    // Unread bytes after the last whole chunk frame.
+    let mut tail = r.len();
+    while !r.is_empty() {
+        match read_frame(&mut r, &schema, &mut dict) {
+            Ok(None) => {}
+            Ok(Some(rows)) => {
                 for row in &rows {
                     table
                         .push(row)
                         .map_err(|e| StoreError::Corrupt(e.to_string()))?;
                 }
+                tail = r.len();
             }
-            t => {
-                return Err(StoreError::Corrupt(format!("unknown frame tag {t}")));
-            }
+            // The file ends inside this frame: a torn tail.
+            Err(StoreError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof => break,
+            Err(e) => return Err(e),
         }
     }
+    table.set_torn_bytes(tail as u64);
     Ok(table)
+}
+
+/// The schema block after the magic. Running out of bytes surfaces as an
+/// `UnexpectedEof` I/O error, like every reader below.
+fn read_header(r: &mut &[u8]) -> Result<Schema, StoreError> {
+    let ncols = read_u32(r)? as usize;
+    let mut columns = Vec::with_capacity(ncols.min(r.len()));
+    for _ in 0..ncols {
+        let name = read_string(r)?;
+        let tag = read_u8(r)?;
+        let ty = ColumnType::from_tag(tag)
+            .ok_or_else(|| StoreError::Corrupt(format!("unknown column type tag {tag}")))?;
+        columns.push((name, ty));
+    }
+    Ok(Schema::from_columns(columns))
+}
+
+/// One frame: `None` for a dictionary delta (interned into `dict`), the
+/// decoded rows for a chunk.
+fn read_frame(
+    r: &mut &[u8],
+    schema: &Schema,
+    dict: &mut Dictionary,
+) -> Result<Option<Vec<Vec<Value>>>, StoreError> {
+    match read_u8(r)? {
+        FRAME_DICT => {
+            let count = read_u32(r)?;
+            for _ in 0..count {
+                let s = read_string(r)?;
+                dict.intern(&s);
+            }
+            Ok(None)
+        }
+        FRAME_CHUNK => {
+            let nrows = read_u32(r)? as usize;
+            if nrows > CHUNK_ROWS {
+                return Err(StoreError::Corrupt(format!(
+                    "chunk frame claims {nrows} rows (max {CHUNK_ROWS})"
+                )));
+            }
+            // Cells arrive column-major; gather them row-major so they can
+            // be re-pushed through Table::push.
+            let mut rows: Vec<Vec<Value>> = vec![Vec::with_capacity(schema.len()); nrows];
+            for (_, ty) in schema.columns() {
+                for row in rows.iter_mut() {
+                    let val = match ty {
+                        ColumnType::U64 => Value::U64(read_u64(r)?),
+                        ColumnType::F64 => Value::F64(f64::from_bits(read_u64(r)?)),
+                        ColumnType::Bool => Value::Bool(read_u8(r)? != 0),
+                        ColumnType::Str => {
+                            let code = read_u32(r)?;
+                            let s = dict.resolve(code).ok_or_else(|| {
+                                StoreError::Corrupt(format!(
+                                    "chunk references dictionary code {code} before its delta frame"
+                                ))
+                            })?;
+                            Value::str(s)
+                        }
+                    };
+                    row.push(val);
+                }
+            }
+            Ok(Some(rows))
+        }
+        t => Err(StoreError::Corrupt(format!("unknown frame tag {t}"))),
+    }
 }
 
 fn write_u32(out: &mut impl Write, v: u32) -> std::io::Result<()> {
     out.write_all(&v.to_le_bytes())
 }
 
-fn read_u32(r: &mut impl Read) -> Result<u32, StoreError> {
+fn read_u8(r: &mut &[u8]) -> Result<u8, StoreError> {
+    let mut b = [0u8; 1];
+    r.read_exact(&mut b)?;
+    Ok(b[0])
+}
+
+fn read_u32(r: &mut &[u8]) -> Result<u32, StoreError> {
     let mut b = [0u8; 4];
-    r.read_exact(&mut b)
-        .map_err(|_| StoreError::Corrupt("truncated u32".into()))?;
+    r.read_exact(&mut b)?;
     Ok(u32::from_le_bytes(b))
 }
 
-fn read_u64(r: &mut impl Read) -> Result<u64, StoreError> {
+fn read_u64(r: &mut &[u8]) -> Result<u64, StoreError> {
     let mut b = [0u8; 8];
-    r.read_exact(&mut b)
-        .map_err(|_| StoreError::Corrupt("truncated u64".into()))?;
+    r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
 }
 
-fn read_string(r: &mut impl Read) -> Result<String, StoreError> {
+fn read_string(r: &mut &[u8]) -> Result<String, StoreError> {
     let len = read_u32(r)? as usize;
-    let mut b = vec![0u8; len];
-    r.read_exact(&mut b)
-        .map_err(|_| StoreError::Corrupt("truncated string".into()))?;
-    String::from_utf8(b).map_err(|_| StoreError::Corrupt("non-utf8 string".into()))
+    if len > r.len() {
+        *r = &[];
+        return Err(std::io::Error::from(ErrorKind::UnexpectedEof).into());
+    }
+    let (b, rest) = r.split_at(len);
+    *r = rest;
+    String::from_utf8(b.to_vec()).map_err(|_| StoreError::Corrupt("non-utf8 string".into()))
 }
 
 #[cfg(test)]

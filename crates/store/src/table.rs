@@ -111,6 +111,7 @@ pub struct Table {
     schema: Schema,
     dict: Dictionary,
     chunks: Vec<Chunk>,
+    torn_bytes: u64,
 }
 
 impl Table {
@@ -120,6 +121,7 @@ impl Table {
             schema,
             dict: Dictionary::new(),
             chunks: Vec::new(),
+            torn_bytes: 0,
         }
     }
 
@@ -136,6 +138,16 @@ impl Table {
     /// The chunks, oldest first.
     pub fn chunks(&self) -> &[Chunk] {
         &self.chunks
+    }
+
+    /// Bytes of a torn tail [`read_table`](crate::format::read_table)
+    /// dropped after the last whole chunk frame (0 for an intact file).
+    pub fn torn_bytes(&self) -> u64 {
+        self.torn_bytes
+    }
+
+    pub(crate) fn set_torn_bytes(&mut self, n: u64) {
+        self.torn_bytes = n;
     }
 
     /// Total rows across all chunks.

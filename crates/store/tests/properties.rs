@@ -156,4 +156,58 @@ proptest! {
         let g2 = group_by(&t2, &["circuit", "decisive"], "conflicts", &[], &[50.0, 90.0]).unwrap();
         prop_assert_eq!(g1, g2);
     }
+
+    /// A writer killed mid-flush leaves a torn tail. Cutting a multi-frame
+    /// store at every byte offset past the header must read back a prefix
+    /// of the original rows (never an error), and appending after the cut
+    /// must succeed and land right behind that prefix.
+    #[test]
+    fn torn_tail_reads_back_as_a_row_prefix(xs in proptest::collection::vec(0u64..u64::MAX, 2..12),
+                                            per_session in 1usize..4,
+                                            salt in 0u64..u64::MAX) {
+        let path = tmp("torn-src", salt);
+        let cut = tmp("torn-cut", salt);
+        std::fs::remove_file(&path).ok();
+        let rows: Vec<Vec<Value>> = xs.iter().map(|&x| derive_row(x)).collect();
+        // One writer session per few rows: every session flushes its own
+        // dictionary delta and chunk frame.
+        for session in rows.chunks(per_session) {
+            let mut w = Writer::open(&path, schema()).unwrap();
+            for row in session {
+                w.push(row).unwrap();
+            }
+            w.finish().unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let header = 8 + 4 + schema()
+            .columns()
+            .iter()
+            .map(|(name, _)| 4 + name.len() + 1)
+            .sum::<usize>();
+        let marker = derive_row(u64::MAX - 1);
+        let mut last_prefix = 0;
+        for end in header..=bytes.len() {
+            std::fs::write(&cut, &bytes[..end]).unwrap();
+            let t = read_table(&cut).unwrap();
+            let n = t.rows();
+            prop_assert!(n >= last_prefix, "rows shrank at offset {end}");
+            prop_assert!(t.torn_bytes() as usize <= end - header);
+            for (i, row) in rows.iter().take(n).enumerate() {
+                prop_assert_eq!(&t.row(i), row, "row {} at offset {}", i, end);
+            }
+            last_prefix = n;
+
+            let mut w = Writer::open(&cut, schema()).unwrap();
+            w.push(&marker).unwrap();
+            w.finish().unwrap();
+            let t = read_table(&cut).unwrap();
+            prop_assert_eq!(t.torn_bytes(), 0);
+            prop_assert_eq!(t.rows(), n + 1, "append after a cut at offset {}", end);
+            prop_assert_eq!(t.row(n), marker.clone());
+        }
+        let t = read_table(&path).unwrap();
+        prop_assert_eq!((t.rows(), t.torn_bytes()), (rows.len(), 0));
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&cut).ok();
+    }
 }
