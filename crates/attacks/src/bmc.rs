@@ -27,9 +27,9 @@
 //! literals threaded into the following frame. Every strategy runs on one
 //! **persistent incremental solver**: frames are appended as the bound
 //! grows, the per-bound "some output differs" constraint lives in the
-//! driver's retractable [`Solver`](cutelock_sat::Solver) scope, and
-//! oracle/DIP constraints are asserted permanently — so learnt clauses
-//! survive across bounds and iterations.
+//! driver's retractable [`Solver`] scope, and oracle/DIP constraints are
+//! asserted permanently — so learnt clauses survive across bounds and
+//! iterations.
 //!
 //! [`run_attack`](crate::run_attack) builds one engine per strategy:
 //!

@@ -46,8 +46,11 @@
 //! through the unified encoding engine in
 //! [`cutelock_sat::encode`]
 //! ([`CircuitEncoder`](cutelock_sat::CircuitEncoder) /
-//! [`MiterBuilder`](cutelock_sat::MiterBuilder)), so the modules here
-//! contain DIP-loop logic only.
+//! [`MiterBuilder`](cutelock_sat::MiterBuilder)). The oracle-guided
+//! attacks (scan SAT, AppSAT, Double-DIP, `bbo`/`int`, KC2, RANE) share one
+//! crate-private DIP driver (`dip.rs`) that owns the hunt, the candidate
+//! extraction and the report; each attack module supplies only its miter
+//! model and its per-DIP step.
 //!
 //! # Example
 //!

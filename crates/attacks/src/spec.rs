@@ -195,12 +195,12 @@ impl AttackSpec {
 ///
 /// | strategy | runs |
 /// |---|---|
-/// | `sat` | scan-access DIP loop ([`crate::sat_attack`]) |
-/// | `bbo`, `int` | unrolling engine, reset state ([`crate::bmc`]) |
-/// | `kc2` | unrolling engine, reset state, key-bit fixing |
-/// | `rane` | unrolling engine, secret initial state |
-/// | `appsat` | scan DIP loop with error-rate settling ([`crate::appsat`]) |
-/// | `double-dip` | scan DIP loop over three key copies |
+/// | `sat` | the DIP driver on the scan model ([`crate::sat_attack`]) |
+/// | `bbo`, `int` | the DIP driver per bound, reset state ([`crate::bmc`]) |
+/// | `kc2` | the DIP driver per bound, reset state, key-bit fixing |
+/// | `rane` | the DIP driver per bound, secret initial state |
+/// | `appsat` | the DIP driver on the scan model with error-rate settling ([`crate::appsat`]) |
+/// | `double-dip` | the DIP driver on the scan model, three key copies then two |
 /// | `fall` | [`fall_attack_with`]; [`AttackReport::iterations`] holds the candidate count |
 /// | `race` | [`run_race`], reduced to the winning (or best-ranked) report |
 pub fn run_attack(locked: &LockedCircuit, spec: &AttackSpec) -> AttackReport {

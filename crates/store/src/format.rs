@@ -213,7 +213,7 @@ pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StoreError> {
     // canonicalizing chunk sizes regardless of how the file was flushed.
     let mut table = Table::new(schema.clone());
     let mut dict = Dictionary::new();
-    // Unread bytes after the last whole chunk frame.
+    // Bytes after the last whole chunk frame.
     let mut tail = r.len();
     while !r.is_empty() {
         match read_frame(&mut r, &schema, &mut dict) {
@@ -324,12 +324,12 @@ fn read_u64(r: &mut &[u8]) -> Result<u64, StoreError> {
 }
 
 fn read_string(r: &mut &[u8]) -> Result<String, StoreError> {
+    // A length past the end of the file is a torn tail; checking it
+    // first also bounds the allocation.
     let len = read_u32(r)? as usize;
-    if len > r.len() {
-        *r = &[];
-        return Err(std::io::Error::from(ErrorKind::UnexpectedEof).into());
-    }
-    let (b, rest) = r.split_at(len);
+    let (b, rest) = r
+        .split_at_checked(len)
+        .ok_or_else(|| std::io::Error::from(ErrorKind::UnexpectedEof))?;
     *r = rest;
     String::from_utf8(b.to_vec()).map_err(|_| StoreError::Corrupt("non-utf8 string".into()))
 }
