@@ -2091,4 +2091,245 @@ mod tests {
         assert_eq!(s.value(a), Some(true));
         assert_eq!(s.value(b), Some(true));
     }
+
+    // ------------------------------------------------------------------
+    // Incremental use against brute force, and the solver's own search pins
+    // ------------------------------------------------------------------
+
+    /// Seeded xorshift64, the generator `agrees_with_brute_force` uses.
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
+    /// True when the assignment `bits` (bit `v` is variable `v + 1`)
+    /// satisfies every clause in `clauses` (1-based signed literals).
+    fn bits_satisfy(bits: u32, clauses: &[Vec<i32>]) -> bool {
+        clauses.iter().all(|c| {
+            c.iter()
+                .any(|&l| (bits >> (l.unsigned_abs() - 1) & 1 == 1) == (l > 0))
+        })
+    }
+
+    /// True when the solver's current model satisfies every clause.
+    fn model_satisfies(s: &Solver, vars: &[Var], clauses: &[Vec<i32>]) -> bool {
+        clauses.iter().all(|c| {
+            c.iter()
+                .any(|&l| s.value(vars[l.unsigned_abs() as usize - 1]) == Some(l > 0))
+        })
+    }
+
+    /// Random incremental sessions on ≤10 variables: permanent clauses,
+    /// scoped clauses, assumption solves and scope pops with forced
+    /// collections interleave, and every answer (and every model) is
+    /// checked against brute force over the clauses live at that moment.
+    #[test]
+    fn incremental_use_agrees_with_brute_force() {
+        let mut next = xorshift(0x5eed_1234_abcd);
+        for round in 0..40 {
+            let n = 3 + (next() % 8) as usize; // 3..=10 vars
+            let mut s = Solver::new();
+            let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+            let mut permanent: Vec<Vec<i32>> = Vec::new();
+            let mut scopes: Vec<Vec<Vec<i32>>> = Vec::new();
+            let signed_lits = |next: &mut dyn FnMut() -> u64, count: u64| -> Vec<i32> {
+                (0..count)
+                    .map(|_| {
+                        let v = (next() % n as u64) as i32 + 1;
+                        if next() & 1 == 0 {
+                            v
+                        } else {
+                            -v
+                        }
+                    })
+                    .collect()
+            };
+            for step in 0..30 {
+                let count = next() % 3;
+                let assumptions = signed_lits(&mut next, count);
+                let assumed: Vec<Lit> = assumptions.iter().map(|&l| lit(&vars, l)).collect();
+                let units: Vec<Vec<i32>> = assumptions.iter().map(|&l| vec![l]).collect();
+                let (result, live) = match next() % 6 {
+                    0 | 1 => {
+                        let len = 1 + next() % 3;
+                        let c = signed_lits(&mut next, len);
+                        let cl: Vec<Lit> = c.iter().map(|&l| lit(&vars, l)).collect();
+                        match scopes.last_mut() {
+                            Some(scope) if next() & 1 == 0 => {
+                                s.add_scoped_clause(&cl);
+                                scope.push(c);
+                            }
+                            _ => {
+                                s.add_clause(&cl);
+                                permanent.push(c);
+                            }
+                        }
+                        continue;
+                    }
+                    2 => {
+                        if scopes.len() < 3 {
+                            s.push_scope();
+                            scopes.push(Vec::new());
+                        }
+                        continue;
+                    }
+                    3 => {
+                        let mut live = permanent.clone();
+                        live.extend(scopes.iter().flatten().cloned());
+                        (s.solve_scoped(&assumed), live)
+                    }
+                    4 => (s.solve_with_assumptions(&assumed), permanent.clone()),
+                    _ => {
+                        if scopes.pop().is_some() {
+                            s.pop_scope();
+                            s.garbage_collect();
+                        }
+                        continue;
+                    }
+                };
+                let mut constraints = live.clone();
+                constraints.extend(units);
+                let expect = if (0..1u32 << n).any(|b| bits_satisfy(b, &constraints)) {
+                    SatResult::Sat
+                } else {
+                    SatResult::Unsat
+                };
+                assert_eq!(result, expect, "round {round} step {step}");
+                if result == SatResult::Sat {
+                    assert!(
+                        model_satisfies(&s, &vars, &constraints),
+                        "round {round} step {step}: model violates a live clause"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every deterministic search counter, in one comparable line.
+    fn counters(s: &Solver) -> String {
+        let st = s.stats();
+        format!(
+            "decisions={} propagations={} conflicts={} restarts={} learnts={} clauses={} \
+             gc_runs={} gc_freed_clauses={} gc_freed_literals={} \
+             shared_exported={} shared_imported={} shared_dup_dropped={}",
+            st.decisions,
+            st.propagations,
+            st.conflicts,
+            st.restarts,
+            st.learnts,
+            st.clauses,
+            st.gc_runs,
+            st.gc_freed_clauses,
+            st.gc_freed_literals,
+            st.shared_exported,
+            st.shared_imported,
+            st.shared_dup_dropped
+        )
+    }
+
+    /// Compares against a pin, or prints it under `GOLDEN_PRINT=1`.
+    fn check_pin(label: &str, expected: &str, actual: String) {
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("PIN {label}: {actual}");
+            return;
+        }
+        assert_eq!(actual, expected, "search pin moved for {label}");
+    }
+
+    /// Pins the solver's own search: propagation order, learning, restarts,
+    /// scope GC, clause sharing and learnt-DB reduction. A storage or
+    /// propagation rewrite that keeps the search must leave every line
+    /// unchanged; a moved count is a changed search, not a re-pin. Captured
+    /// with `GOLDEN_PRINT=1 cargo test -p cutelock_sat search_counters_are_pinned -- --nocapture`.
+    #[test]
+    fn search_counters_are_pinned() {
+        // (a) A plain PHP(8, 7) proof.
+        let mut php = php_solver(7);
+        assert_eq!(php.solve(), SatResult::Unsat);
+        check_pin(
+            "php7",
+            "decisions=6370 propagations=70964 conflicts=5291 restarts=28 learnts=5287 clauses=204 gc_runs=0 gc_freed_clauses=0 gc_freed_literals=0 shared_exported=0 shared_imported=0 shared_dup_dropped=0",
+            counters(&php),
+        );
+
+        // (b) Scope churn: push, scoped random clauses, solve, pop, until
+        // the automatic collection has fired; then one more solve.
+        let mut next = xorshift(0xc0ff_ee00_1234);
+        let mut s = Solver::new();
+        let vars: Vec<Var> = (0..60).map(|_| s.new_var()).collect();
+        let random_lit = |next: &mut dyn FnMut() -> u64| {
+            Lit::new(vars[(next() % vars.len() as u64) as usize], next() & 1 == 0)
+        };
+        for _ in 0..240 {
+            let c: Vec<Lit> = (0..3).map(|_| random_lit(&mut next)).collect();
+            s.add_clause(&c);
+        }
+        let mut rounds = 0;
+        while s.stats().gc_runs == 0 {
+            s.push_scope();
+            for _ in 0..30 {
+                let c: Vec<Lit> = (0..3).map(|_| random_lit(&mut next)).collect();
+                s.add_scoped_clause(&c);
+            }
+            let _ = s.solve_scoped(&[]);
+            s.pop_scope();
+            rounds += 1;
+            assert!(rounds < 100, "scope churn never triggered a collection");
+        }
+        check_pin(
+            "scopes/after-gc",
+            "rounds=4 decisions=127 propagations=1832 conflicts=106 restarts=0 learnts=22 clauses=232 gc_runs=1 gc_freed_clauses=200 gc_freed_literals=848 shared_exported=0 shared_imported=0 shared_dup_dropped=0",
+            format!("rounds={rounds} {}", counters(&s)),
+        );
+        let _ = s.solve();
+        check_pin(
+            "scopes/final",
+            "decisions=147 propagations=1990 conflicts=110 restarts=0 learnts=26 clauses=232 gc_runs=1 gc_freed_clauses=200 gc_freed_literals=848 shared_exported=0 shared_imported=0 shared_dup_dropped=0",
+            counters(&s),
+        );
+
+        // (c) Export from a conflict-budgeted PHP(8, 7) into a sibling,
+        // which then finishes the proof.
+        let mut teacher = php_solver(7);
+        teacher.set_conflict_budget(Some(1500));
+        assert_eq!(teacher.solve(), SatResult::Unknown);
+        let batch = teacher.export_learnts(ShareCap::with_limit(24));
+        check_pin(
+            "share/teacher",
+            "decisions=1926 propagations=20553 conflicts=1503 restarts=9 learnts=1503 clauses=204 gc_runs=0 gc_freed_clauses=0 gc_freed_literals=0 shared_exported=768 shared_imported=0 shared_dup_dropped=0",
+            counters(&teacher),
+        );
+        let mut sibling = php_solver(7);
+        sibling.import_clauses(&batch);
+        assert_eq!(sibling.solve(), SatResult::Unsat);
+        check_pin(
+            "share/sibling",
+            "decisions=5081 propagations=51068 conflicts=4331 restarts=21 learnts=5095 clauses=204 gc_runs=0 gc_freed_clauses=0 gc_freed_literals=0 shared_exported=0 shared_imported=768 shared_dup_dropped=0",
+            counters(&sibling),
+        );
+
+        // (d) The search never reaches reduce_db on these sizes, so call it
+        // directly: reduce, collect, then finish the proof.
+        let mut reduced = php_solver(6);
+        reduced.set_conflict_budget(Some(800));
+        assert_eq!(reduced.solve(), SatResult::Unknown);
+        reduced.reduce_db();
+        reduced.garbage_collect();
+        check_pin(
+            "reduce/after-gc",
+            "decisions=956 propagations=10561 conflicts=800 restarts=5 learnts=401 clauses=133 gc_runs=1 gc_freed_clauses=399 gc_freed_literals=5379 shared_exported=0 shared_imported=0 shared_dup_dropped=0",
+            counters(&reduced),
+        );
+        reduced.set_conflict_budget(None);
+        assert_eq!(reduced.solve(), SatResult::Unsat);
+        check_pin(
+            "reduce/final",
+            "decisions=1046 propagations=11623 conflicts=883 restarts=5 learnts=477 clauses=133 gc_runs=1 gc_freed_clauses=399 gc_freed_literals=5379 shared_exported=0 shared_imported=0 shared_dup_dropped=0",
+            counters(&reduced),
+        );
+    }
 }
