@@ -11,7 +11,11 @@
 //!   activation-literal **scopes** ([`Solver::push_scope`] /
 //!   [`Solver::pop_scope`]) for retractable clause groups — the mechanism
 //!   that lets every BMC/DIP attack loop reuse one live solver across
-//!   bounds instead of re-encoding from scratch;
+//!   bounds instead of re-encoding from scratch. Clauses live in a
+//!   crate-private paged arena: fixed 64Ki-word pages holding a header
+//!   (length, learnt/deleted flags, LBD, activity) and the literals of
+//!   each clause, addressed as `page << 16 | offset`. Propagation keeps
+//!   each watch list in place instead of copying it;
 //! * [`encode`] — the unified miter/encoding engine: [`CircuitEncoder`]
 //!   owns netlist→CNF lowering and glue constraints, [`MiterBuilder`] wires
 //!   shared-input miter copies and appends BMC time frames incrementally —
@@ -54,6 +58,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arena;
 pub mod config;
 pub mod dimacs;
 pub mod encode;

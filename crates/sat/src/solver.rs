@@ -4,6 +4,7 @@ use std::time::Duration;
 
 use cutelock_core::clock::{ClockHandle, Instant};
 
+use crate::arena::{CRef, ClauseArena};
 use crate::config::{splitmix64, PolarityMode, SolverConfig};
 use crate::share::{ShareCap, SharedClause};
 use crate::{Lit, Var};
@@ -52,23 +53,13 @@ pub struct SolverStats {
     pub shared_dup_dropped: u64,
 }
 
-const UNDEF_CLAUSE: u32 = u32::MAX;
-
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
-    activity: f64,
-    /// Literal-block distance (glue): distinct decision levels in the
-    /// clause when it was learnt. 0 for problem clauses; the export
-    /// quality gate for portfolio clause sharing.
-    lbd: u32,
-}
+/// No clause: the reason of a decision, an assumption or a root unit. Never
+/// a valid [`CRef`] (no clause header fits at the last word of a page).
+const UNDEF_CLAUSE: CRef = CRef::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
-    cref: u32,
+    cref: CRef,
     blocker: Lit,
 }
 
@@ -93,13 +84,18 @@ struct Watcher {
 /// ([`garbage_collect`](Solver::garbage_collect)): once enough retired
 /// clauses pile up, the database is compacted and every watch list rebuilt,
 /// so long multi-scope runs do not drag dead clauses through propagation.
+///
+/// Clauses live in a paged arena (header plus literals in fixed 64Ki-word
+/// pages, referenced as `page << 16 | offset`), and propagation moves each
+/// watch list out and back without copying it.
 #[derive(Debug, Clone)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every stored clause: problem, learnt, and deleted-but-not-collected.
+    arena: ClauseArena,
     watches: Vec<Vec<Watcher>>, // indexed by Lit::index
     assigns: Vec<i8>,           // per var: 0 undef, 1 true, -1 false
     level: Vec<u32>,
-    reason: Vec<u32>, // clause index or UNDEF_CLAUSE
+    reason: Vec<CRef>, // or UNDEF_CLAUSE
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -153,7 +149,7 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Self {
-            clauses: Vec::new(),
+            arena: ClauseArena::default(),
             watches: Vec::new(),
             assigns: Vec::new(),
             level: Vec::new(),
@@ -208,11 +204,6 @@ impl Solver {
     pub fn stats(&self) -> SolverStats {
         let mut s = self.stats;
         s.learnts = self.num_learnts;
-        s.clauses = self
-            .clauses
-            .iter()
-            .filter(|c| !c.learnt && !c.deleted)
-            .count();
         s
     }
 
@@ -403,7 +394,7 @@ impl Solver {
     /// retirements (one differ-clause per DIP scope) stay lazy, so frequent
     /// tiny pops do not pay O(database) each time.
     fn gc_worthwhile(&self) -> bool {
-        self.garbage_estimate >= 64 && self.garbage_estimate * 4 >= self.clauses.len()
+        self.garbage_estimate >= 64 && self.garbage_estimate * 4 >= self.arena.len()
     }
 
     /// Physically compacts the clause database: drops clauses satisfied at
@@ -432,50 +423,52 @@ impl Solver {
         for i in 0..self.trail.len() {
             self.reason[self.trail[i].var().index()] = UNDEF_CLAUSE;
         }
-        let before_clauses = self.clauses.len();
-        let before_lits: usize = self.clauses.iter().map(|c| c.lits.len()).sum();
-        let mut kept: Vec<Clause> = Vec::with_capacity(before_clauses);
-        for mut clause in self.clauses.drain(..) {
+        // Survivors are copied, in storage order, into fresh pages.
+        let old = std::mem::take(&mut self.arena);
+        let (mut before_lits, mut after_lits) = (0usize, 0usize);
+        let mut lits: Vec<Lit> = Vec::new();
+        for cref in old.crefs() {
+            let clause = old.clause(cref);
+            before_lits += clause.len();
             if clause.deleted {
                 continue;
             }
             if clause
-                .lits
-                .iter()
-                .any(|&l| root_value(&self.assigns, l) == Some(true))
+                .lits()
+                .any(|l| root_value(&self.assigns, l) == Some(true))
             {
                 // Satisfied forever — this is where popped scopes' clauses
                 // (guarded by a root-false activation literal) get freed.
                 if clause.learnt {
                     self.num_learnts -= 1;
+                } else {
+                    self.stats.clauses -= 1;
                 }
                 continue;
             }
             // Propagation closure at the root guarantees every surviving
             // clause keeps at least two unassigned literals.
-            clause
-                .lits
-                .retain(|&l| root_value(&self.assigns, l).is_none());
-            debug_assert!(clause.lits.len() >= 2);
-            kept.push(clause);
+            lits.clear();
+            lits.extend(
+                clause
+                    .lits()
+                    .filter(|&l| root_value(&self.assigns, l).is_none()),
+            );
+            debug_assert!(lits.len() >= 2);
+            after_lits += lits.len();
+            self.arena
+                .alloc(&lits, clause.learnt, clause.lbd, clause.activity);
         }
-        self.clauses = kept;
         for w in &mut self.watches {
             w.clear();
         }
-        for (i, c) in self.clauses.iter().enumerate() {
-            self.watches[c.lits[0].index()].push(Watcher {
-                cref: i as u32,
-                blocker: c.lits[1],
-            });
-            self.watches[c.lits[1].index()].push(Watcher {
-                cref: i as u32,
-                blocker: c.lits[0],
-            });
+        for cref in self.arena.crefs() {
+            let (l0, l1) = (self.arena.lit(cref, 0), self.arena.lit(cref, 1));
+            self.watches[l0.index()].push(Watcher { cref, blocker: l1 });
+            self.watches[l1.index()].push(Watcher { cref, blocker: l0 });
         }
-        let after_lits: usize = self.clauses.iter().map(|c| c.lits.len()).sum();
         self.stats.gc_runs += 1;
-        self.stats.gc_freed_clauses += (before_clauses - self.clauses.len()) as u64;
+        self.stats.gc_freed_clauses += (old.len() - self.arena.len()) as u64;
         self.stats.gc_freed_literals += (before_lits - after_lits) as u64;
         self.garbage_estimate = 0;
     }
@@ -519,21 +512,18 @@ impl Solver {
             .collect();
         let mut seen: std::collections::HashSet<Vec<Lit>> = std::collections::HashSet::new();
         let mut out: Vec<SharedClause> = Vec::new();
-        for c in &self.clauses {
-            if !c.learnt
-                || c.deleted
-                || c.lits.len() < 2
-                || c.lits.len() > cap.max_len
-                || c.lbd > cap.max_lbd
+        for cref in self.arena.crefs() {
+            let c = self.arena.clause(cref);
+            if !c.learnt || c.deleted || c.len() < 2 || c.len() > cap.max_len || c.lbd > cap.max_lbd
             {
                 continue;
             }
-            if c.lits.iter().any(|&l| {
+            if c.lits().any(|l| {
                 open_acts.contains(&l.var().index()) || root_value(&self.assigns, l).is_some()
             }) {
                 continue;
             }
-            let mut lits = c.lits.clone();
+            let mut lits: Vec<Lit> = c.lits().collect();
             lits.sort_unstable();
             if seen.insert(lits.clone()) {
                 out.push(SharedClause { lits, lbd: c.lbd });
@@ -572,11 +562,12 @@ impl Solver {
         // One canonical snapshot of the live database for duplicate
         // detection, built once per batch.
         let mut existing: std::collections::HashSet<Vec<Lit>> = self
-            .clauses
-            .iter()
+            .arena
+            .crefs()
+            .map(|cref| self.arena.clause(cref))
             .filter(|c| !c.deleted)
             .map(|c| {
-                let mut lits = c.lits.clone();
+                let mut lits: Vec<Lit> = c.lits().collect();
                 lits.sort_unstable();
                 lits
             })
@@ -628,7 +619,7 @@ impl Solver {
                 }
                 _ => {
                     if existing.insert(filtered.clone()) {
-                        self.attach_clause(filtered, true, shared.lbd);
+                        self.attach_clause(&filtered, true, shared.lbd);
                         imported += 1;
                     } else {
                         dup_dropped += 1;
@@ -641,7 +632,7 @@ impl Solver {
         // The same DB-pressure valves the search loop applies: reduce_db
         // marks the worst half deleted (feeding garbage_estimate), and the
         // scope GC sweeps once the estimate crosses its threshold.
-        if self.ok && self.num_learnts > 4000 + 2 * self.clauses.len() {
+        if self.ok && self.num_learnts > 4000 + 2 * self.arena.len() {
             self.reduce_db();
         }
         if self.ok && self.gc_worthwhile() {
@@ -716,7 +707,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_clause(filtered, false, 0);
+                self.attach_clause(&filtered, false, 0);
                 true
             }
         }
@@ -845,7 +836,7 @@ impl Solver {
                 if self.stop_requested() {
                     return Some(SatResult::Unknown);
                 }
-                if self.num_learnts > 4000 + 2 * self.clauses.len() {
+                if self.num_learnts > 4000 + 2 * self.arena.len() {
                     self.reduce_db();
                 }
                 // Assumption decisions first.
@@ -884,7 +875,7 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    fn unchecked_enqueue(&mut self, lit: Lit, reason: u32) {
+    fn unchecked_enqueue(&mut self, lit: Lit, reason: CRef) {
         let v = lit.var().index();
         debug_assert_eq!(self.assigns[v], 0);
         self.assigns[v] = if lit.is_positive() { 1 } else { -1 };
@@ -893,96 +884,96 @@ impl Solver {
         self.trail.push(lit);
     }
 
-    fn propagate(&mut self) -> Option<u32> {
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
-            self.stats.propagations += 1;
+    fn propagate(&mut self) -> Option<CRef> {
+        let Solver {
+            arena,
+            watches,
+            assigns,
+            level,
+            reason,
+            trail,
+            trail_lim,
+            qhead,
+            stats,
+            ..
+        } = self;
+        let decision_level = trail_lim.len() as u32;
+        while *qhead < trail.len() {
+            let p = trail[*qhead];
+            *qhead += 1;
+            stats.propagations += 1;
             let false_lit = !p;
-            // Take the watch list for !p; rebuild it as we go.
-            let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
+            // Move the watch list for !p out and back: watchers that leave
+            // it go to other literals' lists (a new watch is never false),
+            // so the list is never copied.
+            let mut ws = std::mem::take(&mut watches[false_lit.index()]);
             let mut i = 0;
             while i < ws.len() {
                 let w = ws[i];
                 // Blocker fast path.
-                if self.lit_value(w.blocker) == Some(true) {
+                if value(assigns, w.blocker) == 1 {
                     i += 1;
                     continue;
                 }
-                let cref = w.cref as usize;
-                if self.clauses[cref].deleted {
+                let Some(lits) = arena.live_lits_mut(w.cref) else {
                     ws.swap_remove(i);
                     continue;
-                }
+                };
                 // Ensure false_lit is at position 1.
-                {
-                    let c = &mut self.clauses[cref];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
+                if lits[0] == false_lit.0 {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cref].lits[0];
-                if first != w.blocker && self.lit_value(first) == Some(true) {
-                    ws[i] = Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                    };
+                let first = Lit(lits[0]);
+                if first != w.blocker && value(assigns, first) == 1 {
+                    ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Find a new literal to watch.
-                let mut found = false;
-                {
-                    let len = self.clauses[cref].lits.len();
-                    for k in 2..len {
-                        let lk = self.clauses[cref].lits[k];
-                        if self.lit_value(lk) != Some(false) {
-                            self.clauses[cref].lits.swap(1, k);
-                            self.watches[lk.index()].push(Watcher {
-                                cref: w.cref,
-                                blocker: first,
-                            });
-                            found = true;
-                            break;
-                        }
-                    }
-                }
-                if found {
+                if let Some(k) = (2..lits.len()).find(|&k| value(assigns, Lit(lits[k])) != -1) {
+                    let lk = Lit(lits[k]);
+                    lits.swap(1, k);
+                    watches[lk.index()].push(Watcher {
+                        cref: w.cref,
+                        blocker: first,
+                    });
                     ws.swap_remove(i);
                     continue;
                 }
                 // Clause is unit or conflicting.
-                if self.lit_value(first) == Some(false) {
-                    // Conflict: restore remaining watches and bail.
-                    self.watches[false_lit.index()].append(&mut ws.split_off(i));
-                    // Put back what we kept so far.
-                    let mut kept = ws;
-                    self.watches[false_lit.index()].append(&mut kept);
-                    self.qhead = self.trail.len();
+                if value(assigns, first) == -1 {
+                    // Conflict: the unvisited watchers go first, then the
+                    // ones kept so far.
+                    ws.rotate_left(i);
+                    watches[false_lit.index()] = ws;
+                    *qhead = trail.len();
                     return Some(w.cref);
                 }
-                self.unchecked_enqueue(first, w.cref);
+                let v = first.var().index();
+                debug_assert_eq!(assigns[v], 0);
+                assigns[v] = if first.is_positive() { 1 } else { -1 };
+                level[v] = decision_level;
+                reason[v] = w.cref;
+                trail.push(first);
                 i += 1;
             }
-            self.watches[false_lit.index()].append(&mut ws);
-            // Note: append leaves `ws` empty; ordering within the list is
-            // irrelevant for correctness.
+            watches[false_lit.index()] = ws;
         }
         None
     }
 
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32, u32) {
+    fn analyze(&mut self, mut confl: CRef) -> (Vec<Lit>, u32, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for UIP
         let mut path = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         loop {
             debug_assert_ne!(confl, UNDEF_CLAUSE);
-            self.bump_clause(confl as usize);
+            self.bump_clause(confl);
             let start = usize::from(p.is_some());
             // Iterate literals of the conflicting/reason clause.
-            for k in start..self.clauses[confl as usize].lits.len() {
-                let q = self.clauses[confl as usize].lits[k];
+            for k in start..self.arena.clause(confl).len() {
+                let q = self.arena.lit(confl, k);
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -1054,7 +1045,7 @@ impl Solver {
         if r == UNDEF_CLAUSE {
             return false;
         }
-        self.clauses[r as usize].lits.iter().all(|&q| {
+        self.arena.clause(r).lits().all(|q| {
             q.var() == l.var() || self.seen[q.var().index()] || self.level[q.var().index()] == 0
         })
     }
@@ -1064,14 +1055,15 @@ impl Solver {
             self.unchecked_enqueue(learnt[0], UNDEF_CLAUSE);
         } else {
             let first = learnt[0];
-            let cref = self.attach_clause(learnt, true, lbd);
+            let cref = self.attach_clause(&learnt, true, lbd);
             self.unchecked_enqueue(first, cref);
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> u32 {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> CRef {
         debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len() as u32;
+        let activity = if learnt { self.cla_inc } else { 0.0 };
+        let cref = self.arena.alloc(lits, learnt, lbd, activity);
         self.watches[lits[0].index()].push(Watcher {
             cref,
             blocker: lits[1],
@@ -1079,13 +1071,6 @@ impl Solver {
         self.watches[lits[1].index()].push(Watcher {
             cref,
             blocker: lits[0],
-        });
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity: if learnt { self.cla_inc } else { 0.0 },
-            lbd,
         });
         if learnt {
             self.num_learnts += 1;
@@ -1115,31 +1100,27 @@ impl Solver {
     }
 
     fn reduce_db(&mut self) {
-        // Collect learnt clause indices not currently used as reasons.
-        let locked: std::collections::HashSet<u32> = self
+        // Collect learnt clauses not currently used as reasons, in storage
+        // order, then stable-sort them by activity.
+        let locked: std::collections::HashSet<CRef> = self
             .trail
             .iter()
             .map(|l| self.reason[l.var().index()])
             .filter(|&r| r != UNDEF_CLAUSE)
             .collect();
-        let mut learnt_idx: Vec<usize> = self
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(i, c)| {
-                c.learnt && !c.deleted && c.lits.len() > 2 && !locked.contains(&(*i as u32))
+        let mut learnts: Vec<(CRef, f64)> = self
+            .arena
+            .crefs()
+            .filter_map(|cref| {
+                let c = self.arena.clause(cref);
+                (c.learnt && !c.deleted && c.len() > 2 && !locked.contains(&cref))
+                    .then_some((cref, c.activity))
             })
-            .map(|(i, _)| i)
             .collect();
-        learnt_idx.sort_by(|&a, &b| {
-            self.clauses[a]
-                .activity
-                .partial_cmp(&self.clauses[b].activity)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let kill = learnt_idx.len() / 2;
-        for &i in &learnt_idx[..kill] {
-            self.clauses[i].deleted = true;
+        learnts.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        let kill = learnts.len() / 2;
+        for &(cref, _) in &learnts[..kill] {
+            self.arena.delete(cref);
             self.num_learnts -= 1;
         }
         // Deleted clauses are pruned lazily from watch lists in propagate()
@@ -1168,15 +1149,15 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
-    fn bump_clause(&mut self, c: usize) {
-        if !self.clauses[c].learnt {
+    fn bump_clause(&mut self, cref: CRef) {
+        let c = self.arena.clause(cref);
+        if !c.learnt {
             return;
         }
-        self.clauses[c].activity += self.cla_inc;
-        if self.clauses[c].activity > 1e20 {
-            for cl in &mut self.clauses {
-                cl.activity *= 1e-20;
-            }
+        let activity = c.activity + self.cla_inc;
+        self.arena.set_activity(cref, activity);
+        if activity > 1e20 {
+            self.arena.scale_activities(1e-20);
             self.cla_inc *= 1e-20;
         }
     }
@@ -1259,6 +1240,17 @@ impl Solver {
         self.heap.swap(i, j);
         self.heap_pos[self.heap[i].index()] = i;
         self.heap_pos[self.heap[j].index()] = j;
+    }
+}
+
+/// Value of `lit` in the assignment array as 1 (true), -1 (false) or 0
+/// (unassigned) — the propagation loop's test, with `self` split-borrowed.
+fn value(assigns: &[i8], lit: Lit) -> i8 {
+    let v = assigns[lit.var().index()];
+    if lit.is_positive() {
+        v
+    } else {
+        -v
     }
 }
 
