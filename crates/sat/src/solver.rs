@@ -1877,16 +1877,37 @@ mod tests {
         assert!(st.clauses >= 3);
     }
 
-    /// Brute-force reference check on small random 3-SAT instances.
-    #[test]
-    fn agrees_with_brute_force() {
-        let mut seed = 0x12345678u64;
-        let mut next = move || {
+    /// Seeded xorshift64 for the random-formula tests.
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
             seed
-        };
+        }
+    }
+
+    /// True when the assignment `bits` (bit `v` is variable `v + 1`)
+    /// satisfies every clause in `clauses` (1-based signed literals).
+    fn bits_satisfy(bits: u32, clauses: &[Vec<i32>]) -> bool {
+        clauses.iter().all(|c| {
+            c.iter()
+                .any(|&l| (bits >> (l.unsigned_abs() - 1) & 1 == 1) == (l > 0))
+        })
+    }
+
+    /// True when the solver's current model satisfies every clause.
+    fn model_satisfies(s: &Solver, vars: &[Var], clauses: &[Vec<i32>]) -> bool {
+        clauses.iter().all(|c| {
+            c.iter()
+                .any(|&l| s.value(vars[l.unsigned_abs() as usize - 1]) == Some(l > 0))
+        })
+    }
+
+    /// Brute-force reference check on small random 3-SAT instances.
+    #[test]
+    fn agrees_with_brute_force() {
+        let mut next = xorshift(0x12345678);
         for round in 0..60 {
             let n = 4 + (next() % 6) as usize; // 4..=9 vars
             let m = n * 4;
@@ -1900,26 +1921,7 @@ mod tests {
                 }
                 clauses.push(c);
             }
-            // Brute force.
-            let mut any = false;
-            'outer: for m_bits in 0..(1u32 << n) {
-                for c in &clauses {
-                    let sat = c.iter().any(|&l| {
-                        let v = l.unsigned_abs() as usize - 1;
-                        let val = m_bits >> v & 1 == 1;
-                        if l > 0 {
-                            val
-                        } else {
-                            !val
-                        }
-                    });
-                    if !sat {
-                        continue 'outer;
-                    }
-                }
-                any = true;
-                break;
-            }
+            let any = (0..1u32 << n).any(|b| bits_satisfy(b, &clauses));
             let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
             let (r, s, vars) = solve_clauses(n, &refs);
             let expect = if any {
@@ -1929,22 +1931,10 @@ mod tests {
             };
             assert_eq!(r, expect, "round {round}: {clauses:?}");
             if r == SatResult::Sat {
-                // Verify the model actually satisfies the clauses.
-                for c in &clauses {
-                    assert!(
-                        c.iter().any(|&l| {
-                            let val = s
-                                .value(vars[l.unsigned_abs() as usize - 1])
-                                .unwrap_or(false);
-                            if l > 0 {
-                                val
-                            } else {
-                                !val
-                            }
-                        }),
-                        "model violates {c:?}"
-                    );
-                }
+                assert!(
+                    model_satisfies(&s, &vars, &clauses),
+                    "model violates {clauses:?}"
+                );
             }
         }
     }
@@ -2088,33 +2078,6 @@ mod tests {
     // Incremental use against brute force, and the solver's own search pins
     // ------------------------------------------------------------------
 
-    /// Seeded xorshift64, the generator `agrees_with_brute_force` uses.
-    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
-        move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        }
-    }
-
-    /// True when the assignment `bits` (bit `v` is variable `v + 1`)
-    /// satisfies every clause in `clauses` (1-based signed literals).
-    fn bits_satisfy(bits: u32, clauses: &[Vec<i32>]) -> bool {
-        clauses.iter().all(|c| {
-            c.iter()
-                .any(|&l| (bits >> (l.unsigned_abs() - 1) & 1 == 1) == (l > 0))
-        })
-    }
-
-    /// True when the solver's current model satisfies every clause.
-    fn model_satisfies(s: &Solver, vars: &[Var], clauses: &[Vec<i32>]) -> bool {
-        clauses.iter().all(|c| {
-            c.iter()
-                .any(|&l| s.value(vars[l.unsigned_abs() as usize - 1]) == Some(l > 0))
-        })
-    }
-
     /// Random incremental sessions on ≤10 variables: permanent clauses,
     /// scoped clauses, assumption solves and scope pops with forced
     /// collections interleave, and every answer (and every model) is
@@ -2122,7 +2085,7 @@ mod tests {
     #[test]
     fn incremental_use_agrees_with_brute_force() {
         let mut next = xorshift(0x5eed_1234_abcd);
-        for round in 0..40 {
+        for round in 0..200 {
             let n = 3 + (next() % 8) as usize; // 3..=10 vars
             let mut s = Solver::new();
             let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
@@ -2140,14 +2103,14 @@ mod tests {
                     })
                     .collect()
             };
-            for step in 0..30 {
+            for step in 0..40 {
                 let count = next() % 3;
                 let assumptions = signed_lits(&mut next, count);
                 let assumed: Vec<Lit> = assumptions.iter().map(|&l| lit(&vars, l)).collect();
                 let units: Vec<Vec<i32>> = assumptions.iter().map(|&l| vec![l]).collect();
                 let (result, live) = match next() % 6 {
                     0 | 1 => {
-                        let len = 1 + next() % 3;
+                        let len = 1 + next() % 4;
                         let c = signed_lits(&mut next, len);
                         let cl: Vec<Lit> = c.iter().map(|&l| lit(&vars, l)).collect();
                         match scopes.last_mut() {
