@@ -433,10 +433,7 @@ impl Solver {
             if clause.deleted {
                 continue;
             }
-            if clause
-                .lits()
-                .any(|l| root_value(&self.assigns, l) == Some(true))
-            {
+            if clause.lits().any(|l| self.lit_value(l) == Some(true)) {
                 // Satisfied forever — this is where popped scopes' clauses
                 // (guarded by a root-false activation literal) get freed.
                 if clause.learnt {
@@ -449,11 +446,7 @@ impl Solver {
             // Propagation closure at the root guarantees every surviving
             // clause keeps at least two unassigned literals.
             lits.clear();
-            lits.extend(
-                clause
-                    .lits()
-                    .filter(|&l| root_value(&self.assigns, l).is_none()),
-            );
+            lits.extend(clause.lits().filter(|&l| self.lit_value(l).is_none()));
             debug_assert!(lits.len() >= 2);
             after_lits += lits.len();
             self.arena
@@ -518,9 +511,9 @@ impl Solver {
             {
                 continue;
             }
-            if c.lits().any(|l| {
-                open_acts.contains(&l.var().index()) || root_value(&self.assigns, l).is_some()
-            }) {
+            if c.lits()
+                .any(|l| open_acts.contains(&l.var().index()) || self.lit_value(l).is_some())
+            {
                 continue;
             }
             let mut lits: Vec<Lit> = c.lits().collect();
@@ -1251,16 +1244,6 @@ fn value(assigns: &[i8], lit: Lit) -> i8 {
         v
     } else {
         -v
-    }
-}
-
-/// Value of `lit` looking only at the assignment array — usable while the
-/// clause database is mid-compaction and `self` is partially borrowed.
-fn root_value(assigns: &[i8], lit: Lit) -> Option<bool> {
-    match assigns[lit.var().index()] {
-        1 => Some(lit.is_positive()),
-        -1 => Some(!lit.is_positive()),
-        _ => None,
     }
 }
 
