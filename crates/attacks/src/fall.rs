@@ -34,7 +34,7 @@ use cutelock_sat::{Binding, CircuitEncoder, SatResult};
 
 use crate::outcome::verify_candidate_key;
 use crate::portfolio::Portfolio;
-use crate::{AttackBudget, AttackOutcome};
+use crate::{AttackBudget, AttackOutcome, AttackReport};
 
 /// Result of a FALL run — one row of the paper's Table V FALL columns.
 #[derive(Debug, Clone)]
@@ -49,6 +49,21 @@ pub struct FallReport {
     pub outcome: AttackOutcome,
     /// CPU time.
     pub elapsed: Duration,
+}
+
+/// FALL as a generic [`AttackReport`], so its runs share the run schema:
+/// the candidate count stands in for iterations, and there are no SAT
+/// stats.
+impl From<&FallReport> for AttackReport {
+    fn from(r: &FallReport) -> Self {
+        AttackReport {
+            outcome: r.outcome.clone(),
+            elapsed: r.elapsed,
+            iterations: r.candidates,
+            bound: 0,
+            stats: crate::RunStats::default(),
+        }
+    }
 }
 
 /// A detected comparator: the AND root plus the signals it tests.

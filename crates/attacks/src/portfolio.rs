@@ -99,8 +99,9 @@ pub struct Portfolio {
     /// pre-sharing portfolio.
     pub share: bool,
     /// Quality caps on each sharing exchange (clause length, LBD, batch
-    /// size). Tuning only — never part of a result's identity, exactly
-    /// like [`threads`](Portfolio::threads).
+    /// size). Every front end races with [`ShareCap::default`]; the field
+    /// is the seam the `clause_sharing` criterion group races other caps
+    /// through.
     pub share_cap: ShareCap,
     /// Deterministic totals of the sharing traffic this portfolio (and
     /// every clone of it — the ledger is shared) has generated; what the
@@ -181,12 +182,6 @@ impl Portfolio {
     /// Enables or disables epoch-barrier clause sharing (builder style).
     pub fn with_share(mut self, share: bool) -> Self {
         self.share = share;
-        self
-    }
-
-    /// Sets the sharing exchange caps (builder style).
-    pub fn with_share_cap(mut self, cap: ShareCap) -> Self {
-        self.share_cap = cap;
         self
     }
 

@@ -17,7 +17,7 @@ use cutelock_store::format::Writer;
 use cutelock_store::{ColumnType, Schema, StoreError, Value};
 
 use crate::spec::AttackSpec;
-use crate::AttackReport;
+use crate::{AttackReport, RunStats};
 
 /// One attack run, flattened to the store's row shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,14 +42,8 @@ pub struct RunRecord {
     pub iterations: u64,
     /// Final unrolling bound reached.
     pub bound: u64,
-    /// SAT conflicts (deterministic at any thread count).
-    pub conflicts: u64,
-    /// Unit propagations.
-    pub propagations: u64,
-    /// Learnt-clause garbage collections.
-    pub gc_runs: u64,
-    /// Learnt clauses freed by GC.
-    pub gc_freed_clauses: u64,
+    /// The report's solver counters (deterministic at any thread count).
+    pub stats: RunStats,
     /// Clauses exported to the share ledger.
     pub shared_exported: u64,
     /// Clauses imported from the share ledger.
@@ -115,10 +109,7 @@ impl RunRecord {
             decisive: AttackSpec::is_decisive(&report.outcome),
             iterations: report.iterations as u64,
             bound: report.bound as u64,
-            conflicts: report.stats.conflicts,
-            propagations: report.stats.propagations,
-            gc_runs: report.stats.gc_runs,
-            gc_freed_clauses: report.stats.gc_freed_clauses,
+            stats: report.stats,
             shared_exported,
             shared_imported,
             shared_dup_dropped,
@@ -139,10 +130,10 @@ impl RunRecord {
             Value::Bool(self.decisive),
             Value::U64(self.iterations),
             Value::U64(self.bound),
-            Value::U64(self.conflicts),
-            Value::U64(self.propagations),
-            Value::U64(self.gc_runs),
-            Value::U64(self.gc_freed_clauses),
+            Value::U64(self.stats.conflicts),
+            Value::U64(self.stats.propagations),
+            Value::U64(self.stats.gc_runs),
+            Value::U64(self.stats.gc_freed_clauses),
             Value::U64(self.shared_exported),
             Value::U64(self.shared_imported),
             Value::U64(self.shared_dup_dropped),
@@ -181,10 +172,12 @@ mod tests {
             decisive: true,
             iterations: n,
             bound: 1,
-            conflicts: n * 10,
-            propagations: n * 100,
-            gc_runs: 0,
-            gc_freed_clauses: 0,
+            stats: RunStats {
+                conflicts: n * 10,
+                propagations: n * 100,
+                gc_runs: 0,
+                gc_freed_clauses: 0,
+            },
             shared_exported: 0,
             shared_imported: 0,
             shared_dup_dropped: 0,

@@ -221,16 +221,7 @@ pub fn run_attack(locked: &LockedCircuit, spec: &AttackSpec) -> AttackReport {
         AttackStrategy::Rane => bmc(InitModel::Secret, false),
         AttackStrategy::AppSat => appsat(locked, budget, &AppSatConfig::default(), p),
         AttackStrategy::DoubleDip => double_dip(locked, budget, p),
-        AttackStrategy::Fall => {
-            let r = fall_attack_with(locked, budget, p);
-            AttackReport {
-                outcome: r.outcome,
-                elapsed: r.elapsed,
-                iterations: r.candidates,
-                bound: 0,
-                stats: crate::RunStats::default(),
-            }
-        }
+        AttackStrategy::Fall => AttackReport::from(&fall_attack_with(locked, budget, p)),
         AttackStrategy::Race => run_race(locked, spec).report,
     }
 }
@@ -269,7 +260,9 @@ pub struct RaceReport {
 /// [`Portfolio::threads`] is the number of strategy workers and
 /// [`Portfolio::k`] each strategy's inner query-race width (entrants race
 /// serially inside the strategy's worker) — matching the CLI's
-/// `--threads` / `--portfolio` flags in `--mode race`. A
+/// `--threads` / `--portfolio` flags in `--mode race`. Every other
+/// setting ([`Portfolio::share`] among them) carries over to each
+/// strategy, and the sharing ledger totals land in the caller's spec. A
 /// [`Portfolio::stop`] flag, when set, becomes the race's shared
 /// cancellation slot (the job daemon's `CANCEL` raises it); the cancelled
 /// strategies report [`AttackOutcome::Timeout`] and the race returns with
@@ -286,7 +279,11 @@ pub fn run_race(locked: &LockedCircuit, spec: &AttackSpec) -> RaceReport {
     let reports: Vec<AttackReport> = pool.map(entrants.len(), |i| {
         let entrant = AttackSpec::new(entrants[i])
             .with_budget(spec.budget.clone())
-            .with_portfolio(Portfolio::new(spec.portfolio.k, 1).with_stop(Arc::clone(&stop)));
+            .with_portfolio(Portfolio {
+                threads: 1,
+                stop: Some(Arc::clone(&stop)),
+                ..spec.portfolio.clone()
+            });
         let r = run_attack(locked, &entrant);
         if AttackSpec::is_decisive(&r.outcome)
             && claimed
@@ -404,6 +401,37 @@ mod tests {
         assert_eq!(spec.budget.timeout.as_secs(), 5);
         assert_eq!(spec.portfolio.k, 4);
         assert!(spec.simplify);
+    }
+
+    #[test]
+    fn race_entrants_keep_the_spec_sharing_settings() {
+        use cutelock_circuits::iscas89;
+        use cutelock_core::baselines::XorLock;
+        // The lock and budget of the `golden_sharing_thread_independence`
+        // pin, whose scan-SAT queries survive a few epoch barriers. One
+        // strategy worker runs the entrants in order, so the ledger total
+        // is deterministic.
+        let lc = XorLock::new(12, 3)
+            .lock(&iscas89("s510").expect("bundled").netlist)
+            .expect("locks");
+        let spec = AttackSpec::new(AttackStrategy::Race)
+            .with_budget(AttackBudget {
+                timeout: std::time::Duration::from_secs(60),
+                max_bound: 6,
+                max_iterations: 8,
+                conflict_budget: Some(3_000),
+                ..AttackBudget::default()
+            })
+            .with_portfolio(
+                Portfolio {
+                    epoch_base: 1,
+                    ..Portfolio::new(4, 1)
+                }
+                .with_share(true),
+            );
+        run_race(&lc, &spec);
+        let (exported, _, _) = spec.portfolio.share_stats();
+        assert!(exported > 0, "race entrants dropped --share");
     }
 
     #[test]

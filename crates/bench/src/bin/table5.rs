@@ -19,9 +19,7 @@
 
 use cutelock_attacks::dana::{dana_attack_with_budget, score_against_ground_truth};
 use cutelock_attacks::fall::{fall_attack_with, FallReport};
-use cutelock_attacks::{
-    AttackOutcome, AttackReport, AttackStrategy, Portfolio, RunRecord, RunStats,
-};
+use cutelock_attacks::{AttackOutcome, AttackReport, AttackStrategy, Portfolio, RunRecord};
 use cutelock_bench::params::{in_quick_set, TABLE5};
 use cutelock_bench::{rule, Options};
 use cutelock_circuits::itc99;
@@ -29,7 +27,7 @@ use cutelock_core::baselines::TtLock;
 use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
 
 const USAGE: &str = "table5 [--quick] [--only NAME] [--baselines] [--timeout SECS] \
-                     [--threads N] [--no-times] [--portfolio K] [--share] [--share-cap N] [--no-simplify] \
+                     [--threads N] [--no-times] [--portfolio K] [--share] [--no-simplify] \
                      [--store FILE]\n\
                      DANA NMI + FALL on Cute-Lock-Str-locked ITC'99 (paper Table V)";
 
@@ -99,17 +97,8 @@ fn main() {
             // width this unit was allocated.
             let spec = opt.spec_with(AttackStrategy::Fall, width);
             let fall = fall_attack_with(&locked, &spec.budget, &spec.portfolio);
-            // FALL's structural report has no generic `AttackReport`; fold
-            // it into one so the `--store` row shares the run schema
-            // (candidate count stands in for iterations; no SAT stats).
-            let report = AttackReport {
-                outcome: fall.outcome.clone(),
-                elapsed: fall.elapsed,
-                iterations: fall.candidates,
-                bound: 0,
-                stats: RunStats::default(),
-            };
-            let record = RunRecord::from_run(name, 0x7ab1e5, &locked, &spec, &report);
+            let record =
+                RunRecord::from_run(name, 0x7ab1e5, &locked, &spec, &AttackReport::from(&fall));
             Ok(Row {
                 name,
                 clean,

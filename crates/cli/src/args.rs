@@ -52,6 +52,16 @@ impl Args {
         }
     }
 
+    /// Rejects any flag that is neither one of the `bools` given at parse
+    /// time nor listed in `known` (the flags that take a value).
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        let unknown = self.values.keys().filter(|k| !known.contains(&k.as_str()));
+        match unknown.min() {
+            Some(name) => Err(format!("unknown flag --{name}")),
+            None => Ok(()),
+        }
+    }
+
     /// Whether a boolean flag was given (e.g. `attack --quick`).
     pub fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)

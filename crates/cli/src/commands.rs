@@ -18,7 +18,6 @@ use cutelock_core::{KeySchedule, KeyValue, LockedCircuit};
 use cutelock_jobs::{Client, Limits, ServeConfig, Server};
 use cutelock_netlist::{bench, simplify, verilog, Netlist, NetlistStats, SimplifyConfig};
 use cutelock_sat::equiv::EquivResult;
-use cutelock_sat::ShareCap;
 use cutelock_synth::{analyze, CellLibrary, OverheadComparison};
 
 use crate::args::Args;
@@ -44,15 +43,14 @@ COMMANDS:
   attack    Run an attack against a locked netlist
               --mode sat|bbo|int|kc2|rane|appsat|double-dip|fall|dana|race
               --locked FILE --oracle FILE [--timeout SECS] [--quick]
-              [--portfolio K] [--threads N] [--share] [--share-cap N]
+              [--portfolio K] [--threads N] [--share]
               [--no-simplify] [--verbose]
               (--quick caps the budget for a smoke run; without
                --locked/--oracle it locks a built-in s27 and attacks that;
                --portfolio K races K diversified solvers per SAT query
                across N worker threads — the result is bit-identical for
                any N; --share exchanges learnt clauses between entrants at
-               epoch barriers, still bit-identical for any N; --share-cap N
-               scales the exchange caps (tuning only, like --threads);
+               epoch barriers, still bit-identical for any N;
                netlists are simplified (strash/const-fold/COI) before
                encoding; --no-simplify attacks them as-read — fall and
                race skip simplification either way;
@@ -243,6 +241,16 @@ fn cmd_lock(argv: &[String]) -> Result<(), String> {
 
 fn cmd_attack(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &["quick", "share", "no-simplify", "verbose"])?;
+    args.reject_unknown(&[
+        "locked",
+        "oracle",
+        "timeout",
+        "virtual-clock",
+        "mode",
+        "portfolio",
+        "threads",
+        "store",
+    ])?;
     let quick = args.has("quick");
     // The built-in smoke target only stands in when *neither* netlist was
     // given; with one of the two present, the normal path reports the
@@ -314,7 +322,6 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
     let k: usize = args.num("portfolio", 1)?;
     let threads: usize = args.num("threads", 1)?;
     let share = args.has("share");
-    let share_cap: usize = args.num("share-cap", 0)?;
     // DANA clusters registers rather than producing a verdict; it is the
     // one mode outside the AttackSpec door (it attacks a bare netlist).
     if mode == "dana" {
@@ -347,10 +354,7 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
     } else {
         threads
     };
-    let mut portfolio = Portfolio::new(k, threads).with_share(share);
-    if share_cap > 0 {
-        portfolio.share_cap = ShareCap::with_limit(share_cap);
-    }
+    let portfolio = Portfolio::new(k, threads).with_share(share);
     // Simplification defaults ON at the CLI (the spec layer defaults it
     // off to keep library callers and golden pins raw); --no-simplify is
     // the escape hatch.
@@ -759,7 +763,7 @@ mod tests {
 
     #[test]
     fn attack_quick_share_flags_parse_and_run() {
-        // --share/--share-cap/--verbose thread through to the portfolio;
+        // --share/--verbose thread through to the portfolio;
         // the held lock still ends non-decisive (exit 2), proving the
         // exchange changes no verdict.
         let err = dispatch(&sv(&[
@@ -770,12 +774,13 @@ mod tests {
             "--threads",
             "2",
             "--share",
-            "--share-cap",
-            "16",
             "--verbose",
         ]))
         .unwrap_err();
         assert!(err.contains("not decisive"), "got: {err}");
+        let err =
+            dispatch(&sv(&["attack", "--quick", "--share", "--share-cap", "16"])).unwrap_err();
+        assert_eq!(err, "unknown flag --share-cap");
     }
 
     #[test]

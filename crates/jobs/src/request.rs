@@ -7,7 +7,7 @@
 //! * `SUBMIT attack --mode <m> [--circuit s27] [--scheme str|xor|ttlock|
 //!   dklock|sled] [--keys K] [--key-bits KI] [--ffs N] [--seed S]
 //!   [--timeout SECS] [--portfolio K] [--threads N] [--share on|off]
-//!   [--share-cap N] [--simplify on|off]` — locks a built-in benchmark
+//!   [--simplify on|off]` — locks a built-in benchmark
 //!   deterministically from the given parameters, builds an
 //!   [`AttackSpec`], and runs [`run_attack`]. Batch lane. Cached by
 //!   (circuit fingerprint, strategy, budget, portfolio width, share
@@ -34,8 +34,8 @@
 //! worker-thread counts (`--threads`) never change a result, so they stay
 //! *out* of the key; anything that can change a verdict (strategy, budget,
 //! portfolio width, share on/off, circuit, lock parameters) goes in.
-//! `--share-cap` is a tuning knob like `--threads` — it scales the
-//! exchange without touching the verdict identity — so it stays out too.
+//! `--portfolio` is bounded to `1..=64` entrants: every entrant is a full
+//! solver clone, so the width is a memory request.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
@@ -53,7 +53,7 @@ use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
 use cutelock_core::LockedCircuit;
 use cutelock_netlist::Netlist;
 use cutelock_sat::equiv::EquivResult;
-use cutelock_sat::{Lit, SatResult, ShareCap, Solver, Var};
+use cutelock_sat::{Lit, SatResult, Solver, Var};
 
 use crate::queue::{Lane, SubmitRequest};
 
@@ -164,10 +164,9 @@ fn lock_builtin(flags: &Flags) -> Result<LockedCircuit, String> {
 }
 
 /// Folds an attack/verify spec into the circuit fingerprint — the
-/// (circuit, scheme, params, seed) cache key. `--threads` and
-/// `--share-cap` are deliberately absent: per `docs/DETERMINISM.md`,
-/// worker counts never change results, and the share cap is the same kind
-/// of tuning knob. Share on/off *is* keyed: the exchange changes the
+/// (circuit, scheme, params, seed) cache key. `--threads` is
+/// deliberately absent: per `docs/DETERMINISM.md`, worker counts never
+/// change results. Share on/off *is* keyed: the exchange changes the
 /// search trajectory (and the result line grows a `shared=` field).
 fn attack_cache_key(locked: &LockedCircuit, spec: &AttackSpec) -> u64 {
     let mut fp = Fingerprint::new();
@@ -196,7 +195,6 @@ const ATTACK_FLAGS: &[&str] = &[
     "portfolio",
     "threads",
     "share",
-    "share-cap",
     "simplify",
 ];
 
@@ -209,6 +207,9 @@ fn parse_attack(flags: &Flags, limits: &Limits) -> Result<SubmitRequest, String>
     let timeout: u64 = flags.num("timeout", 60)?;
     let timeout = Duration::from_secs(timeout).min(limits.max_timeout);
     let k: usize = flags.num("portfolio", 1)?;
+    if !(1..=64).contains(&k) {
+        return Err("--portfolio must be between 1 and 64".into());
+    }
     let threads: usize = flags.num("threads", 1)?;
     // Every wire flag takes a value, so the switch is spelled `on`/`off`.
     let share = match flags.opt("share") {
@@ -217,7 +218,6 @@ fn parse_attack(flags: &Flags, limits: &Limits) -> Result<SubmitRequest, String>
         Some("off") => false,
         Some(other) => return Err(format!("--share: expected on|off, got `{other}`")),
     };
-    let share_cap: usize = flags.num("share-cap", 0)?;
     // Simplification defaults on (matching the CLI); it changes the search
     // trajectory, so the switch joins the cache key below.
     let simplify = match flags.opt("simplify") {
@@ -230,13 +230,9 @@ fn parse_attack(flags: &Flags, limits: &Limits) -> Result<SubmitRequest, String>
         clock: limits.clock.clone(),
         ..AttackBudget::default()
     };
-    let mut portfolio = Portfolio::new(k, threads).with_share(share);
-    if share_cap > 0 {
-        portfolio.share_cap = ShareCap::with_limit(share_cap);
-    }
     let spec = AttackSpec::new(strategy)
         .with_budget(budget)
-        .with_portfolio(portfolio)
+        .with_portfolio(Portfolio::new(k, threads).with_share(share))
         .with_simplify(simplify);
     // The race strategy is wall-clock nondeterministic: never cache it.
     let cache_key = strategy
@@ -457,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_includes_share_but_not_share_cap() {
+    fn cache_key_includes_share() {
         let key = |line: &str| submit(line).unwrap().cache_key.unwrap();
         let base = key("attack --mode int --seed 1 --portfolio 2");
         assert_ne!(
@@ -470,12 +466,15 @@ mod tests {
             key("attack --mode int --seed 1 --portfolio 2 --share off"),
             "--share off is the default"
         );
-        let on = key("attack --mode int --seed 1 --portfolio 2 --share on");
-        assert_eq!(
-            on,
-            key("attack --mode int --seed 1 --portfolio 2 --share on --share-cap 32"),
-            "the cap is a tuning knob like --threads: out of the key"
-        );
+    }
+
+    #[test]
+    fn portfolio_width_is_bounded() {
+        for k in [0, 65, 100_000] {
+            let err = submit(&format!("attack --mode sat --portfolio {k}")).unwrap_err();
+            assert!(err.contains("--portfolio"), "k={k}: {err}");
+        }
+        assert!(submit("attack --mode sat --portfolio 64").is_ok());
     }
 
     #[test]
@@ -571,6 +570,10 @@ mod tests {
         assert!(submit("attack --mode sat --bogus 1")
             .unwrap_err()
             .contains("--bogus"));
+        assert_eq!(
+            submit("attack --mode sat --share-cap 8").unwrap_err(),
+            "unknown flag --share-cap"
+        );
         assert!(submit("solve --php 0").is_err());
         assert!(submit("mystery --x 1").unwrap_err().contains("mystery"));
     }

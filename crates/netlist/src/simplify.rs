@@ -3,25 +3,25 @@
 //!
 //! Every CNF the attack stack solves is lowered from a netlist, so gates
 //! removed here are clauses the solver never sees. [`simplify`] is the
-//! engine behind `EncodeOptions { simplify }` in `cutelock_sat::encode`,
-//! the `attack --no-simplify` escape hatch, `convert --simplify`, and the
-//! synthesis overhead model's pre-count sweep.
+//! engine behind `AttackSpec::simplify` (the CLI's `attack --no-simplify`
+//! escape hatch), `convert --simplify`, and the synthesis overhead
+//! model's pre-count sweep.
 //!
-//! The engine runs up to [`SimplifyConfig::max_passes`] passes, each of
-//! which performs, in one topological sweep:
+//! The engine runs up to four passes, stopping early at a fixed point;
+//! each pass performs, in one topological sweep:
 //!
-//! 1. **Constant propagation + rewrite rules** ([`SimplifyConfig::fold`]):
-//!    constants through every [`GateKind`], double negation, idempotent
-//!    (`AND(a, a)`) and absorbing (`AND(a, 0)`) operands, complement
-//!    cancellation (`AND(a, !a)`, `XOR(a, !a, b)`), single-input
-//!    collapses, and `MUX` specialization (constant select, equal
-//!    branches, constant branches).
-//! 2. **Structural hashing** ([`SimplifyConfig::strash`]): commutative
-//!    fanins are sorted and deduplicated, and structurally identical gates
-//!    are merged through a hash-cons table.
-//! 3. **Cone-of-influence trimming** ([`SimplifyConfig::coi`]): gates —
-//!    and, unless [`SimplifyConfig::keep_all_dffs`] is set, flip-flops
-//!    (via [`crate::cone::observable_dffs`]) — that cannot influence any
+//! 1. **Constant propagation + rewrite rules**: constants through every
+//!    [`GateKind`], double negation, idempotent (`AND(a, a)`) and
+//!    absorbing (`AND(a, 0)`) operands, complement cancellation
+//!    (`AND(a, !a)`, `XOR(a, !a, b)`), single-input collapses, and `MUX`
+//!    specialization (constant select, equal branches, constant
+//!    branches).
+//! 2. **Structural hashing**: commutative fanins are sorted and
+//!    deduplicated, and structurally identical gates are merged through a
+//!    hash-cons table.
+//! 3. **Cone-of-influence trimming**: gates — and, unless
+//!    [`SimplifyConfig::keep_all_dffs`] is set, flip-flops (via
+//!    [`crate::cone::observable_dffs`]) — that cannot influence any
 //!    primary output are dropped.
 //!
 //! # Determinism
@@ -50,40 +50,19 @@ use std::fmt;
 
 use crate::{Driver, GateKind, NetId, Netlist, NetlistError};
 
-/// Configuration of [`simplify`]: which passes run and how state is
-/// treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Upper bound on passes; the engine stops as soon as a pass no longer
+/// shrinks the netlist.
+const MAX_PASSES: usize = 4;
+
+/// Configuration of [`simplify`]: how state is treated. Every pass always
+/// runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimplifyConfig {
-    /// Structural hashing: sort and deduplicate commutative fanins and
-    /// merge structurally identical gates through a hash-cons table.
-    pub strash: bool,
-    /// Constant propagation and algebraic rewrites (see module docs),
-    /// iterated to a fixed point across passes.
-    pub fold: bool,
-    /// Cone-of-influence trimming: drop logic (and, unless
-    /// [`SimplifyConfig::keep_all_dffs`] is set, flip-flops) feeding no
-    /// primary output.
-    pub coi: bool,
     /// Keep every flip-flop — count, order, instance names, q-net names
     /// and init values — even when it is unobservable. Attack paths need
     /// this: FF indices and q names are interface (`ScanView` next-state
     /// ports, `LockedCircuit::locked_ffs`, the scan model's FF name map).
     pub keep_all_dffs: bool,
-    /// Upper bound on passes; the engine stops as soon as a pass no
-    /// longer shrinks the netlist.
-    pub max_passes: usize,
-}
-
-impl Default for SimplifyConfig {
-    fn default() -> Self {
-        Self {
-            strash: true,
-            fold: true,
-            coi: true,
-            keep_all_dffs: false,
-            max_passes: 4,
-        }
-    }
 }
 
 impl SimplifyConfig {
@@ -93,7 +72,6 @@ impl SimplifyConfig {
     pub fn preserving_state() -> Self {
         Self {
             keep_all_dffs: true,
-            ..Self::default()
         }
     }
 }
@@ -186,7 +164,7 @@ pub fn simplify(
         ..SimplifyStats::default()
     };
     let mut work = nl.clone();
-    for _ in 0..cfg.max_passes.max(1) {
+    for _ in 0..MAX_PASSES {
         let (next, delta) = simplify_pass(&work, cfg)?;
         // A pass can rewrite without changing any count (operand-list
         // shrinks, re-kinds), so "changed" consults the delta counters
@@ -237,9 +215,8 @@ enum Rewritten {
 }
 
 /// Per-pass rewrite state: the hash-cons table and the complement map.
+#[derive(Default)]
 struct Rewriter {
-    fold: bool,
-    strash: bool,
     /// Hash-cons table over canonical `(kind, operands)` forms. Lookup
     /// only — never iterated — so determinism is unaffected.
     cons: HashMap<(GateKind, Vec<Op>), NetId>,
@@ -249,24 +226,13 @@ struct Rewriter {
 }
 
 impl Rewriter {
-    fn new(cfg: &SimplifyConfig) -> Self {
-        Self {
-            fold: cfg.fold,
-            strash: cfg.strash,
-            cons: HashMap::new(),
-            not_of: HashMap::new(),
-        }
-    }
-
     /// Records a materialized gate in the hash-cons and complement
     /// tables.
     fn register(&mut self, kind: GateKind, ins: &[Op], out: NetId) {
-        if self.strash {
-            if let Some(&m) = self.cons.get(&(complement_kind(kind), ins.to_vec())) {
-                self.note_complement(out, m);
-            }
-            self.cons.insert((kind, ins.to_vec()), out);
+        if let Some(&m) = self.cons.get(&(complement_kind(kind), ins.to_vec())) {
+            self.note_complement(out, m);
         }
+        self.cons.insert((kind, ins.to_vec()), out);
         if kind == GateKind::Not {
             if let Op::Net(n) = ins[0] {
                 self.note_complement(out, n);
@@ -287,10 +253,8 @@ impl Rewriter {
     /// materialize.
     fn gate_or_merge(&mut self, kind: GateKind, ins: Vec<Op>, changed: bool) -> Rewritten {
         let key = (kind, ins);
-        if self.strash {
-            if let Some(&n) = self.cons.get(&key) {
-                return Rewritten::Merged(n);
-            }
+        if let Some(&n) = self.cons.get(&key) {
+            return Rewritten::Merged(n);
         }
         Rewritten::Gate(key.0, key.1, changed)
     }
@@ -299,27 +263,16 @@ impl Rewriter {
         nets.into_iter().map(Op::Net).collect()
     }
 
-    /// `NOT(n)`, reusing a known complement when folding.
+    /// `NOT(n)`, reusing a known complement.
     fn mk_not(&mut self, n: NetId, changed: bool) -> Rewritten {
-        if self.fold {
-            if let Some(&m) = self.not_of.get(&n) {
-                return Rewritten::Forward(m);
-            }
+        if let Some(&m) = self.not_of.get(&n) {
+            return Rewritten::Forward(m);
         }
         self.gate_or_merge(GateKind::Not, vec![Op::Net(n)], changed)
     }
 
     /// Rewrites one gate over resolved operands.
     fn rewrite(&mut self, kind: GateKind, ops: &[Op]) -> Rewritten {
-        if !self.fold {
-            // Canonicalization only; no folding rule runs, so operands
-            // are exactly the resolved nets.
-            let mut ins = ops.to_vec();
-            if self.strash && is_commutative(kind) {
-                ins.sort_unstable();
-            }
-            return self.gate_or_merge(kind, ins, false);
-        }
         match kind {
             GateKind::Const0 => Rewritten::Const(false),
             GateKind::Const1 => Rewritten::Const(true),
@@ -461,19 +414,6 @@ impl Rewriter {
     }
 }
 
-/// Gate kinds whose input order does not matter.
-fn is_commutative(kind: GateKind) -> bool {
-    matches!(
-        kind,
-        GateKind::And
-            | GateKind::Nand
-            | GateKind::Or
-            | GateKind::Nor
-            | GateKind::Xor
-            | GateKind::Xnor
-    )
-}
-
 /// The kind computing the complement over the same inputs.
 fn complement_kind(kind: GateKind) -> GateKind {
     match kind {
@@ -503,7 +443,7 @@ struct PassDelta {
 /// One analysis + rebuild sweep.
 fn simplify_pass(nl: &Netlist, cfg: &SimplifyConfig) -> Result<(Netlist, PassDelta), NetlistError> {
     let order = crate::topo::gate_order(nl)?;
-    let keep_ff: Vec<bool> = if cfg.coi && !cfg.keep_all_dffs {
+    let keep_ff: Vec<bool> = if !cfg.keep_all_dffs {
         crate::cone::observable_dffs(nl)
     } else {
         vec![true; nl.dff_count()]
@@ -523,7 +463,7 @@ fn simplify_pass(nl: &Netlist, cfg: &SimplifyConfig) -> Result<(Netlist, PassDel
             repr[ff.q().index()] = Some(Op::Net(ff.q()));
         }
     }
-    let mut rw = Rewriter::new(cfg);
+    let mut rw = Rewriter::default();
     // Materialization form per gate; `None` = folded away, merged, or in
     // a swept cone.
     let mut keep: Vec<Option<(GateKind, Vec<Op>)>> = vec![None; nl.gate_count()];
@@ -594,12 +534,9 @@ fn simplify_pass(nl: &Netlist, cfg: &SimplifyConfig) -> Result<(Netlist, PassDel
             }
         }
     }
-    let sweep_dead = cfg.coi;
-    for g in 0..nl.gate_count() {
-        if keep[g].is_some() && !live[g] && sweep_dead {
-            delta.swept_gates += 1;
-        }
-    }
+    delta.swept_gates = (0..nl.gate_count())
+        .filter(|&g| keep[g].is_some() && !live[g])
+        .count();
     delta.swept_dffs = keep_ff.iter().filter(|k| !**k).count();
 
     // ------------------------------------------------------------------
@@ -664,7 +601,7 @@ fn simplify_pass(nl: &Netlist, cfg: &SimplifyConfig) -> Result<(Netlist, PassDel
         let Some((kind, ins)) = &keep[g] else {
             continue;
         };
-        if sweep_dead && !live[g] {
+        if !live[g] {
             continue;
         }
         let new_ins: Vec<NetId> = ins
@@ -878,27 +815,6 @@ mod tests {
         assert_eq!(bench::write(&s1), bench::write(&s3));
         assert!(!st3.changed(), "{st3}");
         assert_equiv(&nl, &s1);
-    }
-
-    #[test]
-    fn disabled_passes_are_inert() {
-        let nl = bench::parse(
-            "t",
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead = AND(a, b)\n\
-             g1 = AND(a, b)\ng2 = AND(b, a)\ny = OR(g1, g2)\n",
-        )
-        .unwrap();
-        let off = SimplifyConfig {
-            strash: false,
-            fold: false,
-            coi: false,
-            keep_all_dffs: true,
-            max_passes: 4,
-        };
-        let (s, stats) = simplify(&nl, &off).unwrap();
-        assert_eq!(s.gate_count(), nl.gate_count());
-        assert!(!stats.changed());
-        assert_equiv(&nl, &s);
     }
 
     #[test]

@@ -335,6 +335,19 @@ mod tests {
             simplify_self_check(&nl, &trimmed, 4, None).unwrap(),
             EquivResult::Equivalent
         );
+        // A combinational buffer chain collapses to its one inverter.
+        let chain = bench::parse(
+            "t",
+            "INPUT(a)\nOUTPUT(y)\nb1 = BUF(a)\nb2 = BUF(b1)\ny = NOT(b2)\n",
+        )
+        .unwrap();
+        let (simplified, stats) = simplify(&chain, &SimplifyConfig::preserving_state()).unwrap();
+        assert_eq!(simplified.gate_count(), 1);
+        assert!(stats.gates_removed() == 2 && stats.changed());
+        assert_eq!(
+            simplify_self_check(&chain, &simplified, 1, None).unwrap(),
+            EquivResult::Equivalent
+        );
     }
 
     #[test]
@@ -355,26 +368,6 @@ mod tests {
             EquivResult::Counterexample(_) => {}
             other => panic!("expected counterexample, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn encode_options_prepare_respects_switch() {
-        use crate::encode::EncodeOptions;
-        let nl = bench::parse(
-            "t",
-            "INPUT(a)\nOUTPUT(y)\nb1 = BUF(a)\nb2 = BUF(b1)\ny = NOT(b2)\n",
-        )
-        .unwrap();
-        let (raw, stats) = EncodeOptions::off().prepare(&nl).unwrap();
-        assert_eq!(raw.gate_count(), 3);
-        assert!(!stats.changed());
-        let (simplified, stats) = EncodeOptions::default().prepare(&nl).unwrap();
-        assert_eq!(simplified.gate_count(), 1);
-        assert!(stats.gates_removed() == 2 && stats.changed());
-        assert_eq!(
-            simplify_self_check(&nl, &simplified, 1, None).unwrap(),
-            EquivResult::Equivalent
-        );
     }
 
     #[test]

@@ -47,7 +47,8 @@ impl Default for ShareCap {
 }
 
 impl ShareCap {
-    /// A cap scaled by a single knob (the CLI's `--share-cap N`): clauses
+    /// A cap scaled by a single knob (the `clause_sharing` bench races
+    /// caps 12 and 16 through it): clauses
     /// up to `n` literals and LBD up to `n/2` qualify, batches carry up to
     /// `32 * n` clauses. `ShareCap::default()` equals `with_limit(8)`.
     pub fn with_limit(n: usize) -> Self {
