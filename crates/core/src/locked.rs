@@ -147,6 +147,104 @@ impl LockedCircuit {
         Ok(bad as f64 / cycles.max(1) as f64)
     }
 
+    /// Index of the first key in `keys` that is **transparent**: held
+    /// constant, it leaves every output equal to the original's on each of
+    /// `cycles` cycles — the first key whose
+    /// [`corruption_rate`](LockedCircuit::corruption_rate)`(key, cycles,
+    /// seed)` is `0.0`. `None` when every key corrupts.
+    ///
+    /// One lane-packed pass per chunk of at most 64 keys: key `i` of a chunk
+    /// sits in lane `i` of the key-input words of one [`ParallelSim`] of the
+    /// locked netlist. Every lane sees `corruption_rate`'s stimulus (the
+    /// same seed, one `gen::<bool>()` per input per cycle) broadcast to all
+    /// 64 bits, so the original is simulated once per cycle for all chunks.
+    /// A chunk stops at the first cycle by which all of its lanes have
+    /// diverged.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator construction failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the locked netlist's data-input count differs from the
+    /// original's input count.
+    pub(crate) fn first_transparent_key(
+        &self,
+        keys: &[KeyValue],
+        cycles: usize,
+        seed: u64,
+    ) -> Result<Option<usize>, NetlistError> {
+        if keys.is_empty() {
+            return Ok(None);
+        }
+        let mut locked = ParallelSim::new(&self.netlist)?;
+        let mut orig = ParallelSim::new(&self.original)?;
+        let data = self.data_input_ids();
+        let key_ids = self.key_input_ids();
+        let n = self.original.input_count();
+        assert_eq!(
+            data.len(),
+            n,
+            "locked data inputs must mirror the original's inputs"
+        );
+        let outputs = self.netlist.outputs();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x434f_5252); // "CORR"
+
+        // Per cycle: the broadcast stimulus and the original's output
+        // words, grown as far as the longest-running chunk needs.
+        let mut stimulus: Vec<Vec<u64>> = Vec::new();
+        let mut reference: Vec<Vec<u64>> = Vec::new();
+        for (c, chunk) in keys.chunks(64).enumerate() {
+            let lanes = u64::MAX >> (64 - chunk.len());
+            for (j, &kid) in key_ids.iter().enumerate() {
+                let word = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (lane, key)| w | u64::from(key.bits()[j]) << lane);
+                locked.set_input(kid, word)?;
+            }
+            locked.reset();
+            let mut seen = 0u64;
+            for cycle in 0..cycles.max(1) {
+                if cycle == stimulus.len() {
+                    let words: Vec<u64> = (0..n)
+                        .map(|_| if rng.gen::<bool>() { !0 } else { 0 })
+                        .collect();
+                    orig.set_all_inputs(&words);
+                    orig.eval();
+                    reference.push(orig.output_values());
+                    orig.step();
+                    stimulus.push(words);
+                }
+                for (&did, &word) in data.iter().zip(&stimulus[cycle]) {
+                    locked.set_input(did, word)?;
+                }
+                locked.eval();
+                // Differing output counts differ on every cycle, as the
+                // scalar comparison of output vectors does.
+                let mut diff = if outputs.len() == reference[cycle].len() {
+                    0
+                } else {
+                    !0
+                };
+                for (&o, &word) in outputs.iter().zip(&reference[cycle]) {
+                    diff |= locked.value(o) ^ word;
+                }
+                seen |= diff;
+                if seen & lanes == lanes {
+                    break;
+                }
+                locked.step();
+            }
+            let clean = !seen & lanes;
+            if clean != 0 {
+                return Ok(Some(c * 64 + clean.trailing_zeros() as usize));
+            }
+        }
+        Ok(None)
+    }
+
     /// 64-lane batched variant of [`LockedCircuit::corruption_rate`]: the
     /// locked netlist (with `key` held constant on the key port) and the
     /// original run side by side on [`ParallelSim`], 64 independent random

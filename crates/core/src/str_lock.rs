@@ -28,7 +28,7 @@ use cutelock_netlist::{GateKind, NetId, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{insert_mod_counter, KeySchedule, LockError, LockedCircuit};
+use crate::{insert_mod_counter, KeySchedule, KeyValue, LockError, LockedCircuit};
 
 /// Key-layer implementation choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,7 +119,11 @@ impl CuteLockStr {
     /// when the randomly chosen wrongful cones are functionally masked on
     /// the reachable trajectory — would hand oracle-guided attacks a valid
     /// constant key, so the transform re-draws its random choices (up to 16
-    /// attempts) until no sampled wrong key is transparent.
+    /// attempts) until no sampled wrong key is transparent. The check
+    /// simulates the original once and the sampled keys 64 at a time, one
+    /// key per bit lane, under the stimulus of
+    /// [`LockedCircuit::corruption_rate`]; each batch of keys stops as soon
+    /// as every key in it has corrupted an output.
     ///
     /// # Errors
     ///
@@ -142,36 +146,43 @@ impl CuteLockStr {
         Ok(last.expect("at least one attempt was made"))
     }
 
-    /// Samples wrong constant keys and checks that each corrupts the
-    /// outputs within a bounded random simulation. Exhaustive for `ki ≤ 8`.
+    /// Checks that every key of [`Self::sampled_wrong_keys`] corrupts the
+    /// outputs within 512 cycles of [`LockedCircuit::corruption_rate`]'s
+    /// random stimulus (seed `0x7a5e`).
+    ///
+    /// The keys run as lanes of one bit-parallel pass per chunk of at most
+    /// 64 keys, each chunk stopping once all its keys have diverged
+    /// (`LockedCircuit::first_transparent_key`). A simulator build error
+    /// counts as a transparent key.
     fn no_transparent_wrong_key(locked: &LockedCircuit) -> bool {
-        let ki = locked.schedule.key_bits();
-        let cycles = 512usize;
-        let mut keys: Vec<crate::KeyValue> = Vec::new();
+        let keys = Self::sampled_wrong_keys(&locked.schedule);
+        matches!(locked.first_transparent_key(&keys, 512, 0x7a5e), Ok(None))
+    }
+
+    /// The constant keys the self-check requires to corrupt: every key
+    /// value for `ki ≤ 8`; otherwise each schedule key with bit
+    /// `(j * 7 + 1) % ki` flipped for `j < 8`, then the schedule key itself.
+    /// When 7 divides `ki` the flipped positions repeat (`ki = 14` tries 2
+    /// distinct flips, `ki = 35` tries 5). A key that is *never* wrong
+    /// (constant schedules only) is left out: it need not corrupt.
+    fn sampled_wrong_keys(schedule: &KeySchedule) -> Vec<KeyValue> {
+        let ki = schedule.key_bits();
+        let mut keys: Vec<KeyValue> = Vec::new();
         if ki <= 8 {
             for v in 0..(1u64 << ki) {
-                keys.push(crate::KeyValue::from_u64(v, ki));
+                keys.push(KeyValue::from_u64(v, ki));
             }
         } else {
-            // Schedule keys with single-bit flips plus a few random probes.
-            for t in 0..locked.schedule.num_keys() {
-                let base = locked.schedule.key_at_time(t);
+            for t in 0..schedule.num_keys() {
+                let base = schedule.key_at_time(t);
                 for j in 0..ki.min(8) {
                     keys.push(base.flipped(j * 7 + 1));
                 }
                 keys.push(base.clone());
             }
         }
-        keys.iter().all(|key| {
-            // A key is acceptable if it corrupts, or if it happens to be a
-            // key that is *never* wrong (constant schedules only).
-            let always_right = locked.schedule.keys().iter().all(|sk| sk == key);
-            always_right
-                || locked
-                    .corruption_rate(key, cycles, 0x7a5e)
-                    .map(|r| r > 0.0)
-                    .unwrap_or(false)
-        })
+        keys.retain(|key| !schedule.keys().iter().all(|sk| sk == key));
+        keys
     }
 
     fn lock_attempt(&self, original: &Netlist, attempt: u64) -> Result<LockedCircuit, LockError> {
@@ -472,7 +483,6 @@ fn build_counter_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KeyValue;
     use cutelock_circuits::itc99;
     use cutelock_circuits::s27::s27;
 
@@ -680,5 +690,153 @@ mod tests {
         assert!(added < 120, "added {added} gates");
         let added_ffs = lc.netlist.dff_count() - orig.dff_count();
         assert_eq!(added_ffs, 2); // ceil(log2(4)) counter bits
+    }
+
+    /// Indices of the keys that the per-key scalar reference finds
+    /// transparent: `corruption_rate == 0.0`.
+    fn scalar_transparent(lc: &LockedCircuit, keys: &[KeyValue], cycles: usize) -> Vec<usize> {
+        (0..keys.len())
+            .filter(|&i| lc.corruption_rate(&keys[i], cycles, 0x7a5e).unwrap() == 0.0)
+            .collect()
+    }
+
+    /// Every index the lane screen reports, found by restarting it just
+    /// past each hit (which also shifts the 64-key chunk boundaries).
+    fn lane_transparent(lc: &LockedCircuit, keys: &[KeyValue], cycles: usize) -> Vec<usize> {
+        let mut hits = Vec::new();
+        let mut start = 0;
+        while let Some(i) = lc
+            .first_transparent_key(&keys[start..], cycles, 0x7a5e)
+            .unwrap()
+        {
+            hits.push(start + i);
+            start += i + 1;
+        }
+        hits
+    }
+
+    /// The lane screen and the scalar reference agree on the first
+    /// transparent key and on the whole transparent set, at the self-check's
+    /// 512 cycles and at horizons short enough to leave keys undecided.
+    fn assert_screen_matches_scalar(lc: &LockedCircuit, keys: &[KeyValue]) {
+        for cycles in [1, 3, 512] {
+            let scalar = scalar_transparent(lc, keys, cycles);
+            assert_eq!(
+                lc.first_transparent_key(keys, cycles, 0x7a5e).unwrap(),
+                scalar.first().copied(),
+                "first transparent key, {cycles} cycles"
+            );
+            assert_eq!(
+                lane_transparent(lc, keys, cycles),
+                scalar,
+                "transparent set, {cycles} cycles"
+            );
+        }
+        assert_eq!(
+            CuteLockStr::no_transparent_wrong_key(lc),
+            scalar_transparent(lc, &CuteLockStr::sampled_wrong_keys(&lc.schedule), 512).is_empty()
+        );
+    }
+
+    fn attempt(orig: &Netlist, keys: usize, key_bits: usize, seed: u64, n: u64) -> LockedCircuit {
+        CuteLockStr::new(CuteLockStrConfig {
+            keys,
+            key_bits,
+            seed,
+            ..Default::default()
+        })
+        .lock_attempt(orig, n)
+        .unwrap()
+    }
+
+    #[test]
+    fn lane_screen_matches_scalar_exhaustively_for_narrow_keys() {
+        let b08 = itc99("b08").unwrap().netlist;
+        for (orig, k, ki) in [(s27(), 4, 2), (s27(), 2, 8), (b08, 4, 6)] {
+            for n in 0..2 {
+                let lc = attempt(&orig, k, ki, 5, n);
+                let keys = CuteLockStr::sampled_wrong_keys(&lc.schedule);
+                assert_eq!(keys.len(), 1 << ki);
+                assert_screen_matches_scalar(&lc, &keys);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_screen_matches_scalar_across_chunks() {
+        // k=8, ki=9: 8 × (8 flips + the schedule key) = 72 keys, two chunks.
+        let orig = itc99("b10").unwrap().netlist;
+        let lc = attempt(&orig, 8, 9, 7, 0);
+        let keys = CuteLockStr::sampled_wrong_keys(&lc.schedule);
+        assert_eq!(keys.len(), 72);
+        assert_screen_matches_scalar(&lc, &keys);
+    }
+
+    #[test]
+    fn lane_screen_exempts_the_constant_key() {
+        let key = KeyValue::from_u64(2, 2);
+        let lc = CuteLockStr::new(CuteLockStrConfig {
+            keys: 4,
+            key_bits: 2,
+            locked_ffs: 2,
+            seed: 9,
+            schedule: Some(KeySchedule::constant(key.clone(), 4)),
+            ..Default::default()
+        })
+        .lock(&s27())
+        .unwrap();
+        let sampled = CuteLockStr::sampled_wrong_keys(&lc.schedule);
+        assert!(!sampled.contains(&key));
+        assert_eq!(sampled.len(), 3);
+        // The exempted key is transparent, so the check passes only
+        // because it is left out.
+        assert_eq!(
+            lc.first_transparent_key(&[key], 512, 0x7a5e).unwrap(),
+            Some(0)
+        );
+        assert!(CuteLockStr::no_transparent_wrong_key(&lc));
+        let all: Vec<KeyValue> = (0..4).map(|v| KeyValue::from_u64(v, 2)).collect();
+        assert_screen_matches_scalar(&lc, &all);
+    }
+
+    #[test]
+    fn lane_screen_finds_a_planted_transparent_key() {
+        // keyinput0 flips the output; keyinput1 is dead, so key 2 (bit 1
+        // only) is as transparent as the correct key 0.
+        let original = cutelock_netlist::bench::parse(
+            "o",
+            "INPUT(a)\nOUTPUT(y)\n# @init q 0\nq = DFF(d)\nd = XOR(a, q)\ny = BUF(q)\n",
+        )
+        .unwrap();
+        let netlist = cutelock_netlist::bench::parse(
+            "l",
+            "INPUT(a)\nINPUT(keyinput0)\nINPUT(keyinput1)\nOUTPUT(y)\n# @init q 0\n\
+             q = DFF(d)\nd = XOR(a, q)\ny = XOR(q, keyinput0)\n",
+        )
+        .unwrap();
+        let lc = LockedCircuit {
+            netlist,
+            original,
+            schedule: KeySchedule::constant(KeyValue::from_u64(0, 2), 1),
+            scheme: "planted",
+            counter_ffs: Vec::new(),
+            locked_ffs: Vec::new(),
+        };
+        let key = |v| KeyValue::from_u64(v, 2);
+        let sampled = CuteLockStr::sampled_wrong_keys(&lc.schedule);
+        assert_eq!(sampled, vec![key(1), key(2), key(3)]);
+        assert_eq!(
+            lc.first_transparent_key(&sampled, 512, 0x7a5e).unwrap(),
+            Some(1)
+        );
+        assert!(!CuteLockStr::no_transparent_wrong_key(&lc));
+        // Past the first chunk: 66 corrupting keys, then the planted one.
+        let mut keys: Vec<KeyValue> = (0..66).map(|i| key(1 + 2 * (i % 2))).collect();
+        keys.extend([key(2), key(1)]);
+        assert_eq!(
+            lc.first_transparent_key(&keys, 512, 0x7a5e).unwrap(),
+            Some(66)
+        );
+        assert_screen_matches_scalar(&lc, &keys);
     }
 }
